@@ -189,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chiptree",
         description="Chip-firing divisors, search strategies and tree decompositions.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized corpus generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, divisor=True):

@@ -8,9 +8,8 @@ through q-reduction, whose fixed point is unique per class.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
 from .graph import MultiGraph, VertexSet
@@ -115,15 +114,12 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
     check_divisor(g, d)
     _require_effective(d)
     uset = frozenset(u)
-    chips = list(d.chips)
     for v in uset:
         out = g.outdeg(uset, v)
         if out > d[v]:
             raise NotFireableError(v, out, d[v])
-        chips[v] -= out
-        for w, m in g.adjacency(v).items():
-            if w not in uset:
-                chips[w] += m
+    chips = list(d.chips)
+    _fire(g._adj, chips, uset, 1)
     return Divisor(tuple(chips))
 
 
@@ -139,36 +135,11 @@ def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
 
 
 def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
-    """Maximal fireable subset of V - {q}, or the empty set if d is q-reduced.
-
-    Burning runs in O(|E|): out-degrees relative to the shrinking set are
-    maintained incrementally and burnt vertices enter a FIFO worklist.
-    """
+    """Maximal fireable subset of V - {q}, or the empty set if d is q-reduced."""
     check_divisor(g, d)
     _require_effective(d)
     _require_connected(g)
-    n = g.n
-    alive = [True] * n
-    alive[q] = False
-    outdeg = [0] * n
-    for v in range(n):
-        if alive[v]:
-            outdeg[v] = g.multiplicity(v, q)
-    queue = deque(v for v in range(n) if alive[v] and outdeg[v] > d[v])
-    queued = [v in queue for v in range(n)]
-    while queue:
-        v = queue.popleft()
-        queued[v] = False
-        if not alive[v] or outdeg[v] <= d[v]:
-            continue
-        alive[v] = False
-        for w, m in g.adjacency(v).items():
-            if alive[w]:
-                outdeg[w] += m
-                if outdeg[w] > d[w] and not queued[w]:
-                    queue.append(w)
-                    queued[w] = True
-    return frozenset(v for v in range(n) if alive[v])
+    return frozenset(_dhar(g._adj, d.chips, q)[0])
 
 
 def is_q_reduced(g: MultiGraph, d: Divisor, q: int) -> bool:
@@ -178,22 +149,78 @@ def is_q_reduced(g: MultiGraph, d: Divisor, q: int) -> bool:
 def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     """The unique q-reduced divisor equivalent to d, plus the script reaching it.
 
-    Fires Dhar's set until it comes back empty; the distance to the fixed
-    point drops by one per iteration, so deg(d) * n iterations suffice.
+    Each round runs Dhar's algorithm and fires its set U as many times as
+    stays legal, t = min over v in U of floor(chips(v) / outdeg_U(v)).
+    Every legal firing order that never fires q reaches the same q-reduced
+    divisor and the same script with x[q] = 0, so batching changes neither.
+    A round does at least the work of one unbatched firing, which lowers
+    the distance to the fixed point by one, so deg(d) * n rounds suffice.
     """
     check_divisor(g, d)
     _require_effective(d)
     _require_connected(g)
-    bound = max(1, d.degree * g.n)
+    chips = list(d.chips)
     x = [0] * g.n
-    cur = d
+    _reduce(g._adj, chips, q, x)
+    return Divisor(tuple(chips)), FiringScript(tuple(x))
+
+
+# -- unchecked kernels ---------------------------------------------------------
+# Callers have checked that the chips are effective and match the graph, and
+# that the graph is connected; ``adj`` is ``MultiGraph._adj``, read only.
+
+def _dhar(adj: list[dict[int, int]], chips: Sequence[int],
+          q: int) -> tuple[set[int], list[int]]:
+    """Unburnt set U of Dhar's burning from q, and the out-degrees into the fire.
+
+    A vertex burns once more edges join it to burnt vertices than it holds
+    chips; the fire spreads from each vertex once, so the burn is O(|E|).
+    For v in U, ``outdeg[v]`` is outdeg_U(v).
+    """
+    n = len(chips)
+    burnt = [False] * n
+    burnt[q] = True
+    outdeg = [0] * n
+    fire = [q]
+    while fire:
+        for w, m in adj[fire.pop()].items():
+            if not burnt[w]:
+                out = outdeg[w] + m
+                outdeg[w] = out
+                if out > chips[w]:
+                    burnt[w] = True
+                    fire.append(w)
+    return {v for v in range(n) if not burnt[v]}, outdeg
+
+
+def _fire(adj: list[dict[int, int]], chips: list[int], u, times: int) -> None:
+    """Fire the set u ``times`` times, in place; legality is the caller's."""
+    for v in u:
+        for w, m in adj[v].items():
+            if w not in u:
+                chips[v] -= m * times
+                chips[w] += m * times
+
+
+def _reduce(adj: list[dict[int, int]], chips: list[int], q: int,
+            x: Optional[list[int]] = None, until_chip_on_q: bool = False) -> None:
+    """q-reduce chips in place with batched Dhar firings; add the script to x.
+
+    With ``until_chip_on_q`` it returns as soon as q holds a chip: q never
+    fires, so its count only grows and the reduced divisor keeps that chip.
+    """
+    bound = max(1, sum(chips) * len(chips))
     for _ in range(bound + 1):
-        u = dhar(g, cur, q)
+        if until_chip_on_q and chips[q]:
+            return
+        u, outdeg = _dhar(adj, chips, q)
         if not u:
-            return cur, FiringScript(tuple(x))
-        cur = fire_set(g, cur, u)
-        for v in u:
-            x[v] += 1
+            return
+        times = min(chips[v] // outdeg[v] for v in u if outdeg[v])
+        _fire(adj, chips, u, times)
+        if x is not None:
+            for v in u:
+                x[v] += times
     raise InternalError(
         f"q_reduce did not converge within {bound} iterations; this is a bug"
     )

@@ -139,10 +139,6 @@ def parse_divisor(text: str, g: MultiGraph) -> Divisor:
     return Divisor(tuple(chips))
 
 
-def write_divisor(d: Divisor, g: MultiGraph) -> str:
-    return d.format(g)
-
-
 # -- structured-text document ----------------------------------------------
 
 def parse_document(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
@@ -192,7 +188,10 @@ def parse_document(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
     g = MultiGraph(len(labels), edges, labels=labels)
     divisor = None
     if dense_line is not None:
-        chips = [int(tok) for tok in dense_line.split()]
+        try:
+            chips = [int(tok) for tok in dense_line.split()]
+        except ValueError:
+            raise FormatError(f"bad divisor-dense line: {dense_line!r}") from None
         if len(chips) != g.n:
             raise FormatError("divisor-dense length does not match vertex count")
         divisor = Divisor(tuple(chips))

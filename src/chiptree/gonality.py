@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
-from .divisors import Divisor, q_reduce
+from .divisors import Divisor, _reduce, check_divisor
 from .errors import BudgetError, DomainError
 from .graph import MultiGraph
 
@@ -21,14 +21,23 @@ class GonalityResult:
 
 
 def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
-    """True iff the q-reduced form of d has a chip on q, for every vertex q."""
+    """True iff the q-reduced form of d has a chip on q, for every vertex q.
+
+    q never fires while d is q-reduced, so the chips on q only grow. A q
+    that already holds a chip therefore passes without a reduction, and a
+    reduction stops as soon as q receives a chip.
+    """
     if not d.is_effective:
         raise DomainError("positive-rank test requires an effective divisor")
     if not g.is_connected():
         raise DomainError("graph must be connected")
+    check_divisor(g, d)
     for q in range(g.n):
-        reduced, _ = q_reduce(g, d, q)
-        if reduced[q] < 1:
+        if d[q]:
+            continue
+        chips = list(d.chips)
+        _reduce(g._adj, chips, q, until_chip_on_q=True)
+        if not chips[q]:
             return False
     return True
 

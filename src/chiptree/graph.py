@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import GraphError
 
 VertexSet = frozenset
@@ -122,13 +120,13 @@ class MultiGraph:
 
     # -- structural queries ------------------------------------------------
 
-    def laplacian(self) -> np.ndarray:
+    def laplacian(self) -> list[list[int]]:
         """Integer Laplacian: degrees on the diagonal, minus multiplicities off it."""
-        q = np.zeros((self.n, self.n), dtype=np.int64)
+        q = [[0] * self.n for _ in range(self.n)]
         for v in range(self.n):
-            q[v, v] = self.degree(v)
+            q[v][v] = self.degree(v)
             for w, m in self._adj[v].items():
-                q[v, w] = -m
+                q[v][w] = -m
         return q
 
     def outdeg(self, u: Iterable[int], v: int) -> int:

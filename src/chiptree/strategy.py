@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .divisors import Divisor, dhar, fire_set
+from .divisors import Divisor, _dhar, _fire, check_divisor
 from .errors import DomainError, InternalError
 from .graph import MultiGraph, VertexSet
 
@@ -104,16 +104,21 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
     """Find d'' ~ d and a fireable set meeting X but avoiding the flap r.
 
     Repeatedly runs Dhar's algorithm at the smallest vertex of r, firing
-    the result while it stays disjoint from X.  Termination within
+    the result once while it stays disjoint from X.  Termination within
     deg(d) * n rounds follows from the distance-decrease argument.
     """
     if not r:
         raise DomainError("territory flap must be nonempty")
+    check_divisor(g, d)
+    if not d.is_effective:
+        raise DomainError("divisor must be effective")
+    if not g.is_connected():
+        raise DomainError("graph must be connected")
     q = min(r)
     bound = max(1, d.degree * g.n)
-    cur = d
+    chips = list(d.chips)
     for _ in range(bound + 1):
-        u = dhar(g, cur, q)
+        u, _ = _dhar(g._adj, chips, q)
         if not u:
             raise InternalError(
                 "Dhar returned the empty set during good_firing_set; "
@@ -122,11 +127,13 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
         if u & x:
             if u & r:
                 raise InternalError("fireable set meets the territory flap")
-            return cur, u
-        nxt = fire_set(g, cur, u)
-        if trace is not None:
-            trace.append((cur, u, nxt))
-        cur = nxt
+            return Divisor(tuple(chips)), frozenset(u)
+        if trace is None:
+            _fire(g._adj, chips, u, 1)
+        else:
+            cur = Divisor(tuple(chips))
+            _fire(g._adj, chips, u, 1)
+            trace.append((cur, frozenset(u), Divisor(tuple(chips))))
     raise InternalError(
         f"good_firing_set did not finish within {bound} iterations"
     )
@@ -215,7 +222,9 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             xi_prime = xi - {s}
             parent = add_node(parent, Position(xi_prime, ri), SHRINK)
             prev_x, prev_r = xi_prime, ri
-        tree.leaf_divisors[parent] = fire_set(g, d2, u)
+        chips = list(d2.chips)
+        _fire(g._adj, chips, u, 1)
+        tree.leaf_divisors[parent] = Divisor(tuple(chips))
         if prev_r:
             pending.append(parent)
 

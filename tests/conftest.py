@@ -9,6 +9,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from chiptree import Divisor, MultiGraph, fire_set, is_fireable
 from chiptree.fixtures import example_divisor, example_graph
@@ -39,6 +40,17 @@ def random_connected_multigraph(rng: random.Random, n: int,
         for _ in range(rng.randint(1, max_mult)):
             expanded.append((u, v))
     return MultiGraph(n, expanded)
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = []
+    for pair in pairs:
+        mult = draw(st.integers(min_value=0, max_value=3))
+        edges.extend([pair] * mult)
+    return MultiGraph(n, edges)
 
 
 def random_effective_divisor(rng: random.Random, n: int, degree: int) -> Divisor:

@@ -56,6 +56,14 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--input", str(bad))
         assert code == 2 and "malformed-input" in err
 
+    def test_non_integer_dense_divisor(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ct"
+        bad.write_text("format chiptree/1\nvertices a\ndivisor-dense 1 x\n")
+        code, _, err = run(capsys, "info", "--input", str(bad))
+        assert code == 2
+        assert err.startswith("error: malformed-input:")
+        assert len(err.splitlines()) == 1
+
 
 class TestReduceAndDhar:
     def test_reduce_to_d(self, capsys, doc_path):

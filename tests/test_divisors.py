@@ -11,9 +11,12 @@ from chiptree import (
     MultiGraph,
     NotFireableError,
     apply_script,
+    build_mss,
     dhar,
     dist,
     fire_set,
+    good_firing_set,
+    has_positive_rank,
     is_fireable,
     is_q_reduced,
     level_set_chain,
@@ -23,6 +26,7 @@ from chiptree import (
 
 from conftest import (
     maximal_fireable_subset,
+    multigraphs,
     random_connected_multigraph,
     random_effective_divisor,
     reachable_effective_divisors,
@@ -289,3 +293,67 @@ def test_dhar_order_independence_via_oracle():
         d = random_effective_divisor(rng, g.n, rng.randint(0, 3))
         q = rng.randrange(g.n)
         assert dhar(g, d, q) == maximal_fireable_subset(g, d, q)
+
+
+# -- differential checks of the unchecked kernels behind the public API -------
+
+@st.composite
+def connected_with_divisor(draw):
+    """A connected multigraph, an effective divisor on it and a vertex q."""
+    g = draw(multigraphs().filter(lambda g: g.is_connected()))
+    chips = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    q = draw(st.integers(0, g.n - 1))
+    return g, Divisor(tuple(chips)), q
+
+
+@given(connected_with_divisor())
+@settings(max_examples=150, deadline=None)
+def test_batched_q_reduce_is_the_q_reduced_form(case):
+    g, d, q = case
+    reduced, x = q_reduce(g, d, q)
+    assert is_q_reduced(g, reduced, q)
+    assert apply_script(g, d, x) == reduced
+    assert x[q] == 0
+
+
+@given(connected_with_divisor())
+@settings(max_examples=150, deadline=None)
+def test_early_exit_rank_test_matches_full_reductions(case):
+    g, d, _ = case
+    expected = all(q_reduce(g, d, q)[0][q] >= 1 for q in range(g.n))
+    assert has_positive_rank(g, d) == expected
+
+
+def _two_triangles():
+    return MultiGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+CHECKED_CALLS = {
+    "dhar": lambda g, d: dhar(g, d, 0),
+    "is_q_reduced": lambda g, d: is_q_reduced(g, d, 0),
+    "q_reduce": lambda g, d: q_reduce(g, d, 0),
+    "has_positive_rank": has_positive_rank,
+    "build_mss": build_mss,
+    "good_firing_set": lambda g, d: good_firing_set(
+        g, d, frozenset({0}), frozenset(range(1, g.n))),
+}
+
+
+@pytest.mark.parametrize("call", CHECKED_CALLS.values(), ids=CHECKED_CALLS.keys())
+@pytest.mark.parametrize("graph, chips", [
+    (path3(), (2, -1, 1)),
+    (path3(), (1, 1)),
+    (path3(), (1, 0, 0, 1)),
+    (_two_triangles(), (2, 0, 0, 2, 0, 0)),
+], ids=["non-effective", "short", "long", "disconnected"])
+def test_public_entry_points_check_their_inputs(call, graph, chips):
+    with pytest.raises(DomainError):
+        call(graph, Divisor(chips))
+
+
+@pytest.mark.parametrize("call", [is_fireable, fire_set], ids=["is_fireable", "fire_set"])
+@pytest.mark.parametrize("chips", [(2, -1, 1), (1, 1), (1, 0, 0, 1)],
+                         ids=["non-effective", "short", "long"])
+def test_firing_entry_points_check_their_inputs(call, chips):
+    with pytest.raises(DomainError):
+        call(path3(), Divisor(chips), {0})
