@@ -9,7 +9,7 @@ through q-reduction, whose fixed point is unique per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
 from .graph import MultiGraph, VertexSet
@@ -47,7 +47,7 @@ class Divisor:
 
     @property
     def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.chips)
+        return min(self.chips, default=0) >= 0
 
     @property
     def support(self) -> VertexSet:
@@ -101,11 +101,18 @@ def check_divisor(g: MultiGraph, d: Divisor) -> None:
         raise DomainError(f"divisor length {len(d)} does not match n={g.n}")
 
 
+def _require_vertices(g: MultiGraph, vs: Iterable[int], what: str = "vertex") -> None:
+    for v in vs:
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise DomainError(f"{what} {v} is not a vertex in 0..{g.n - 1}")
+
+
 def is_fireable(g: MultiGraph, d: Divisor, u: Iterable[int]) -> bool:
     """True iff every vertex of u keeps a nonnegative chip count when u fires."""
     check_divisor(g, d)
     _require_effective(d)
     uset = frozenset(u)
+    _require_vertices(g, uset)
     return all(g.outdeg(uset, v) <= d[v] for v in uset)
 
 
@@ -114,6 +121,7 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
     check_divisor(g, d)
     _require_effective(d)
     uset = frozenset(u)
+    _require_vertices(g, uset)
     for v in uset:
         out = g.outdeg(uset, v)
         if out > d[v]:
@@ -139,6 +147,7 @@ def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
     check_divisor(g, d)
     _require_effective(d)
     _require_connected(g)
+    _require_vertices(g, (q,), "q")
     return frozenset(_dhar(g._adj, d.chips, q)[0])
 
 
@@ -159,6 +168,7 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     check_divisor(g, d)
     _require_effective(d)
     _require_connected(g)
+    _require_vertices(g, (q,), "q")
     chips = list(d.chips)
     x = [0] * g.n
     _reduce(g._adj, chips, q, x)
@@ -167,15 +177,18 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
 
 # -- unchecked kernels ---------------------------------------------------------
 # Callers have checked that the chips are effective and match the graph, and
-# that the graph is connected; ``adj`` is ``MultiGraph._adj``, read only.
+# that the graph is connected and every vertex argument lies in 0..n-1;
+# ``adj`` is ``MultiGraph._adj``, read only.
+
+_NOTHING_UNBURNT: frozenset[int] = frozenset()
 
 def _dhar(adj: list[dict[int, int]], chips: Sequence[int],
-          q: int) -> tuple[set[int], list[int]]:
+          q: int) -> tuple[AbstractSet[int], list[int]]:
     """Unburnt set U of Dhar's burning from q, and the out-degrees into the fire.
 
     A vertex burns once more edges join it to burnt vertices than it holds
     chips; the fire spreads from each vertex once, so the burn is O(|E|).
-    For v in U, ``outdeg[v]`` is outdeg_U(v).
+    For v in U, ``outdeg[v]`` is outdeg_U(v).  U is read only.
     """
     n = len(chips)
     burnt = [False] * n
@@ -190,6 +203,8 @@ def _dhar(adj: list[dict[int, int]], chips: Sequence[int],
                 if out > chips[w]:
                     burnt[w] = True
                     fire.append(w)
+    if False not in burnt:
+        return _NOTHING_UNBURNT, outdeg
     return {v for v in range(n) if not burnt[v]}, outdeg
 
 

@@ -15,6 +15,12 @@ from .treedec import RefinementMap, TreeDecomposition
 
 DOCUMENT_FORMAT = "chiptree/1"
 
+# Largest vertex count a ``p tw <n> <m>`` header may declare.  The graph
+# allocates one adjacency map per vertex before any edge is read, so an
+# unchecked header is a memory bomb; the oracles here are meant for far
+# smaller graphs anyway.
+MAX_GR_VERTICES = 1_000_000
+
 
 def _content_lines(text: str) -> list[str]:
     out = []
@@ -40,6 +46,10 @@ def parse_gr(text: str) -> MultiGraph:
         n, m = int(header[2]), int(header[3])
     except ValueError:
         raise FormatError(f"bad .gr header: {lines[0]!r}") from None
+    if n > MAX_GR_VERTICES:
+        raise FormatError(
+            f".gr header declares {n} vertices, above the cap {MAX_GR_VERTICES}"
+        )
     edges = []
     for line in lines[1:]:
         parts = line.split()
@@ -102,7 +112,8 @@ def parse_td(text: str) -> TreeDecomposition:
             except ValueError:
                 raise FormatError(f"bad tree edge line: {line!r}") from None
             edges.append((i - 1, j - 1))
-    if set(bags) != set(range(1, num_bags + 1)):
+    # ids are unique keys in 1..num_bags, so a full count means all of them
+    if len(bags) != num_bags:
         raise FormatError("bag ids must be exactly 1..<bags>")
     bag_list = [bags[i] for i in range(1, num_bags + 1)]
     for i, j in edges:

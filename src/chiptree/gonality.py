@@ -26,12 +26,18 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     q never fires while d is q-reduced, so the chips on q only grow. A q
     that already holds a chip therefore passes without a reduction, and a
     reduction stops as soon as q receives a chip.
+
+    The immutable graph remembers the last divisor it accepted, so the
+    usual "test, then ``build_mss``" sequence reduces only once.  One entry
+    is enough for that and keeps the memory flat.
     """
     if not d.is_effective:
         raise DomainError("positive-rank test requires an effective divisor")
     if not g.is_connected():
         raise DomainError("graph must be connected")
     check_divisor(g, d)
+    if getattr(g, "_positive_rank", None) == d.chips:
+        return True
     for q in range(g.n):
         if d[q]:
             continue
@@ -39,13 +45,12 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
         _reduce(g._adj, chips, q, until_chip_on_q=True)
         if not chips[q]:
             return False
+    object.__setattr__(g, "_positive_rank", d.chips)
     return True
 
 
 def effective_divisors(n: int, degree: int) -> Iterator[Divisor]:
-    """All effective divisors of the given degree, in lexicographic chip order."""
-    # Chip vectors of fixed sum, largest-on-last-vertex first is NOT what we
-    # want: enumerate vectors directly in lex order via placements.
+    """All effective divisors of the given degree, in descending lex chip order."""
     for slots in combinations_with_replacement(range(n), degree):
         chips = [0] * n
         for v in slots:
@@ -53,8 +58,33 @@ def effective_divisors(n: int, degree: int) -> Iterator[Divisor]:
         yield Divisor(tuple(chips))
 
 
-def _lex_sorted(n: int, degree: int) -> list[Divisor]:
-    return sorted(effective_divisors(n, degree), key=lambda d: d.chips)
+def _lex_ascending(n: int, degree: int) -> Iterator[Divisor]:
+    """The effective divisors of ``effective_divisors(n, degree)``, streamed
+    in ascending lex chip order, from (0, .., 0, degree) to (degree, 0, .., 0).
+
+    The successor of a chip vector moves one chip from the last nonzero
+    entry after position i to position i, for the largest such i, and puts
+    the rest of that entry on the last vertex.
+    """
+    if n < 1:
+        return
+    chips = [0] * n
+    chips[-1] = degree
+    while True:
+        yield Divisor(tuple(chips))
+        if chips[-1] and n > 1:
+            chips[-1] -= 1
+            chips[-2] += 1
+            continue
+        j = n - 2
+        while j >= 0 and not chips[j]:
+            j -= 1
+        if j <= 0:
+            return
+        rest = chips[j] - 1
+        chips[j] = 0
+        chips[j - 1] += 1
+        chips[-1] = rest
 
 
 def dgon_bruteforce(g: MultiGraph, max_degree: int,
@@ -74,7 +104,7 @@ def dgon_bruteforce(g: MultiGraph, max_degree: int,
             f"search space of {space} divisors exceeds budget {budget}"
         )
     for degree in range(1, max_degree + 1):
-        for d in _lex_sorted(g.n, degree):
+        for d in _lex_ascending(g.n, degree):
             if has_positive_rank(g, d):
                 return GonalityResult(degree, d)
     return None

@@ -181,12 +181,29 @@ class MultiGraph:
         return cached
 
     def flaps_within(self, x: Iterable[int], r: Iterable[int]) -> list[VertexSet]:
-        """The X-flaps contained in r; r must be a union of X-flaps."""
+        """The X-flaps contained in r; r must be a union of X-flaps.
+
+        Same result as filtering ``flaps(x)`` by ``flap <= r``, ordered by
+        smallest member, but the search starts from r and stops as soon as
+        it leaves r, so it costs the volume of r, not of the whole graph.
+        Vertices of r that lie in X or outside 0..n-1 belong to no flap.
+        """
         rset = frozenset(r)
+        seen = set(x)
+        adj = self._adj
+        n = self.n
         out = []
-        for flap in self.flaps(x):
-            if flap <= rset:
-                out.append(flap)
-            elif flap & rset:
-                raise GraphError("r is not a union of X-flaps")
+        for start in sorted(rset):
+            if start in seen or not 0 <= start < n:
+                continue
+            seen.add(start)
+            comp = [start]
+            for v in comp:
+                for w in adj[v]:
+                    if w not in seen:
+                        if w not in rset:
+                            raise GraphError("r is not a union of X-flaps")
+                        seen.add(w)
+                        comp.append(w)
+            out.append(frozenset(comp))
         return out

@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .divisors import Divisor, _dhar, _fire, check_divisor
-from .errors import DomainError, InternalError
+from .divisors import Divisor, _dhar, _fire, _require_vertices, check_divisor
+from .errors import DomainError, GraphError, InternalError
 from .graph import MultiGraph, VertexSet
 
 SPLIT = "split"    # case (c), construction step I
@@ -114,6 +114,8 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
         raise DomainError("divisor must be effective")
     if not g.is_connected():
         raise DomainError("graph must be connected")
+    _require_vertices(g, x, "searcher")
+    _require_vertices(g, r, "territory vertex")
     q = min(r)
     bound = max(1, d.degree * g.n)
     chips = list(d.chips)
@@ -254,13 +256,14 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     for i, node in enumerate(tree.nodes):
         x, r = node.position.searchers, node.position.territory
-        if x & r:
+        if not x.isdisjoint(r):
             bad(i, "searchers and territory overlap")
         if len(x) > k:
             bad(i, f"|X|={len(x)} exceeds {k} searchers")
         try:
-            g.flaps_within(x, r)
-        except Exception:
+            # an empty territory, as after capture, has no flaps
+            flaps = g.flaps_within(x, r) if r else []
+        except GraphError:
             bad(i, "territory is not a union of X-flaps")
             continue
 
@@ -280,11 +283,10 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             else:
                 bad(i, "single child matches neither shrink nor grow")
         else:
-            flaps = set(g.flaps_within(x, r))
             child_rs = [c.territory for c in kids]
             if any(c.searchers != x for c in kids):
                 bad(i, "split children must keep the same searchers")
-            elif set(child_rs) != flaps or len(child_rs) != len(flaps):
+            elif set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
                 bad(i, "split children are not exactly the X-flaps of R")
             elif len(kids) < 2:
                 bad(i, "split with fewer than two children")

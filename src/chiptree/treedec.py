@@ -4,7 +4,6 @@ an exact brute-force treewidth oracle, and refinement contraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError
@@ -49,11 +48,27 @@ class TdReport:
 
 
 def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
-    """Check the three decomposition conditions plus tree shape."""
+    """Check the three decomposition conditions plus tree shape.
+
+    One pass over the bags indexes, for each vertex, the bags holding it;
+    conditions 1-3 then read that index instead of scanning the bags again.
+    """
     violations = []
     b = len(td.bags)
     if b == 0:
         return TdReport(False, -1, ["decomposition has no bags"])
+
+    n = g.n
+    holding: dict[int, set[int]] = {v: set() for v in range(n)}
+    extra = set()
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            bags_of_v = holding.get(v)
+            if bags_of_v is None:
+                extra.add(v)
+            else:
+                bags_of_v.add(i)
+    adj = td.neighbors()
 
     # tree shape: connected and acyclic
     if len(td.tree_edges) != b - 1:
@@ -63,7 +78,6 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     else:
         seen = {0}
         stack = [0]
-        adj = td.neighbors()
         while stack:
             i = stack.pop()
             for j in adj[i]:
@@ -74,28 +88,25 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
             violations.append("bag tree is disconnected")
 
     # condition 1: bags cover all vertices
-    covered = frozenset().union(*td.bags) if td.bags else frozenset()
-    missing = set(range(g.n)) - covered
+    missing = [v for v in range(n) if not holding[v]]
     if missing:
-        violations.append(f"condition 1: vertices {sorted(missing)} in no bag")
-    extra = covered - set(range(g.n))
+        violations.append(f"condition 1: vertices {missing} in no bag")
     if extra:
         violations.append(f"bags mention unknown vertices {sorted(extra)}")
 
     # condition 2: every edge inside some bag
-    for (u, v) in g.edge_multiplicities:
-        if not any(u in bag and v in bag for bag in td.bags):
+    for (u, v) in g._mult:
+        if holding[u].isdisjoint(holding[v]):
             violations.append(f"condition 2: edge ({u},{v}) in no bag")
 
     # condition 3: per-vertex bag sets induce subtrees
-    adj = td.neighbors()
-    for v in range(g.n):
-        nodes = [i for i, bag in enumerate(td.bags) if v in bag]
-        if not nodes:
+    for v in range(n):
+        node_set = holding[v]
+        if not node_set:
             continue
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
+        start = min(node_set)
+        seen = {start}
+        stack = [start]
         while stack:
             i = stack.pop()
             for j in adj[i]:
@@ -144,43 +155,43 @@ def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
         raise BudgetError(f"treewidth oracle capped at n={budget}, got n={n}")
     if n == 0:
         raise DomainError("treewidth of the empty graph is undefined")
-    adj = [frozenset(g.adjacency(v)) for v in range(n)]
+    nbr = [sum(1 << w for w in g._adj[v]) for v in range(n)]
     full = (1 << n) - 1
 
-    @lru_cache(maxsize=None)
     def back_degree(eliminated: int, v: int) -> int:
-        # neighbors of v reachable through the eliminated set
-        seen = {v}
-        stack = [v]
-        out = set()
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if eliminated >> w & 1:
-                    stack.append(w)
-                else:
-                    out.add(w)
-        return len(out)
+        # non-eliminated vertices other than v that v reaches through the
+        # eliminated set: the neighbours of v's component in G[eliminated + v]
+        comp = frontier = 1 << v
+        reach = 0
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            reach |= grown
+            frontier = grown & eliminated & ~comp
+            comp |= frontier
+        return (reach & ~eliminated & ~(1 << v)).bit_count()
 
-    @lru_cache(maxsize=None)
-    def best(eliminated: int) -> int:
-        if eliminated == full:
-            return -1
+    # best[S]: the least width of eliminating everything outside S, given
+    # that S is eliminated first; supersets of S are larger integers, so a
+    # descending sweep has them ready.  back_degree is skipped where the
+    # rest of the order alone cannot beat the best width found so far.
+    best = [0] * (full + 1)
+    best[full] = -1
+    for eliminated in range(full - 1, -1, -1):
         result = n
-        for v in range(n):
-            if eliminated >> v & 1:
-                continue
-            width = max(back_degree(eliminated, v),
-                        best(eliminated | (1 << v)))
-            result = min(result, width)
-        return result
-
-    tw = best(0)
-    best.cache_clear()
-    back_degree.cache_clear()
+        rest = full & ~eliminated
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            later = best[eliminated | low]
+            if later < result:
+                v = low.bit_length() - 1
+                result = min(result, max(later, back_degree(eliminated, v)))
+        best[eliminated] = result
+    tw = best[0]
     if max_width is not None and tw > max_width:
         return None
     return tw

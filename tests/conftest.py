@@ -2,11 +2,13 @@
 
 The oracles here deliberately avoid the code paths they check: fireable
 sets are found by exhaustive subset enumeration, equivalence by breadth
-first search over all effective divisors reachable by firing.
+first search over all effective divisors reachable by firing, treewidth
+by trying every elimination order, and decomposition checks by scanning
+every bag for every edge and vertex.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -96,6 +98,65 @@ def reachable_effective_divisors(g: MultiGraph, d: Divisor) -> set:
                 seen.add(nxt.chips)
                 frontier.append(nxt)
     return seen
+
+
+def treewidth_by_all_orders(g: MultiGraph) -> int:
+    """Least elimination width over every vertex order (n <= 6 or so)."""
+    neighbours = [{w for (a, b) in g.edge_list for w in (a, b)
+                   if v in (a, b) and w != v} for v in range(g.n)]
+    best = g.n
+    for order in permutations(range(g.n)):
+        work = [set(nb) for nb in neighbours]
+        width = 0
+        for v in order:
+            width = max(width, len(work[v]))
+            for a in work[v]:
+                work[a].discard(v)
+                work[a] |= work[v] - {a}
+        best = min(best, width)
+    return best
+
+
+def treedec_violations_by_scan(g: MultiGraph, td) -> list:
+    """The violation list of ``validate_treedec``, from the definitions:
+    tree shape, then conditions 1, 2 and 3 checked bag by bag."""
+    bags, edges = td.bags, td.tree_edges
+    if not bags:
+        return ["decomposition has no bags"]
+    out = []
+    adj = [[] for _ in bags]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    def reach(start, allowed):
+        seen, stack = {start}, [start]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j in allowed and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    if len(edges) != len(bags) - 1:
+        out.append(f"{len(edges)} tree edges on {len(bags)} bags is not a tree")
+    elif len(reach(0, range(len(bags)))) != len(bags):
+        out.append("bag tree is disconnected")
+    covered = set().union(*bags)
+    missing = sorted(set(range(g.n)) - covered)
+    if missing:
+        out.append(f"condition 1: vertices {missing} in no bag")
+    extra = sorted(covered - set(range(g.n)))
+    if extra:
+        out.append(f"bags mention unknown vertices {extra}")
+    for (u, v) in sorted(g.edge_multiplicities):
+        if not any(u in bag and v in bag for bag in bags):
+            out.append(f"condition 2: edge ({u},{v}) in no bag")
+    for v in range(g.n):
+        holding = [i for i, bag in enumerate(bags) if v in bag]
+        if holding and reach(holding[0], set(holding)) != set(holding):
+            out.append(f"condition 3 at vertex {v}")
+    return out
 
 
 def random_refinement(rng: random.Random, g: MultiGraph):

@@ -357,3 +357,25 @@ def test_public_entry_points_check_their_inputs(call, graph, chips):
 def test_firing_entry_points_check_their_inputs(call, chips):
     with pytest.raises(DomainError):
         call(path3(), Divisor(chips), {0})
+
+
+VERTEX_ARGUMENT_CALLS = {
+    "dhar": lambda g, d, v: dhar(g, d, v),
+    "is_q_reduced": lambda g, d, v: is_q_reduced(g, d, v),
+    "q_reduce": lambda g, d, v: q_reduce(g, d, v),
+    "fire_set": lambda g, d, v: fire_set(g, d, {0, v}),
+    "is_fireable": lambda g, d, v: is_fireable(g, d, {v}),
+    "good_firing_set_searchers": lambda g, d, v: good_firing_set(
+        g, d, frozenset({0, v}), frozenset({1, 2})),
+    "good_firing_set_territory": lambda g, d, v: good_firing_set(
+        g, d, frozenset({0}), frozenset({1, 2, v})),
+}
+
+
+@pytest.mark.parametrize("call", VERTEX_ARGUMENT_CALLS.values(),
+                         ids=VERTEX_ARGUMENT_CALLS.keys())
+@pytest.mark.parametrize("vertex", [-1, 3], ids=["q=-1", "q=n"])
+def test_vertex_arguments_outside_the_graph_are_rejected(call, vertex):
+    # a negative index would silently wrap to the last vertex
+    with pytest.raises(DomainError):
+        call(path3(), Divisor((1, 0, 1)), vertex)

@@ -5,6 +5,7 @@ import pytest
 from chiptree import Divisor, FormatError, MultiGraph, TreeDecomposition
 from chiptree.fixtures import banana_graph, c4_to_p3_morphism, example_graph
 from chiptree.formats import (
+    MAX_GR_VERTICES,
     parse_divisor,
     parse_document,
     parse_gr,
@@ -55,6 +56,10 @@ class TestGr:
         with pytest.raises(FormatError):
             parse_gr(text)
 
+    def test_vertex_count_above_cap(self):
+        with pytest.raises(FormatError, match="cap"):
+            parse_gr(f"p tw {MAX_GR_VERTICES + 1} 0\n")
+
 
 class TestTd:
     def test_parse_simple(self):
@@ -80,6 +85,9 @@ class TestTd:
         "s td 1 1 2\nb 1 3\n",
         "s td 2 1 2\nb 1 1\nb 2 2\n1 5\n",
         "s td 2 1 2\nb 1 1\n1 2\n",
+        "s td 3 1 2\nb 1 1\nb 3 2\n",
+        "s td 2 1 2\nb 1 1\nb 1 2\n",
+        "s td -1 0 2\n",
     ])
     def test_malformed(self, text):
         with pytest.raises(FormatError):

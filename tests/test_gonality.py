@@ -11,7 +11,8 @@ from chiptree import (
     effective_divisors,
     has_positive_rank,
 )
-from chiptree.fixtures import banana_graph, cycle_graph, path_graph
+from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
+from chiptree.gonality import _lex_ascending
 
 from conftest import random_connected_multigraph, reachable_effective_divisors
 
@@ -105,3 +106,28 @@ class TestGonality:
                         reverse=True):
             assert not has_positive_rank(g, d)
         assert result == dgon_bruteforce(g, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(0, 5))
+def test_streamed_candidates_are_ascending_lex(n, k):
+    expected = sorted(effective_divisors(n, k), key=lambda d: d.chips)
+    assert list(_lex_ascending(n, k)) == expected
+
+
+def test_witness_is_the_lex_first_positive_divisor():
+    # the contract, checked against a plain sort of every candidate
+    rng = random.Random(5)
+    graphs = [example_graph(), cycle_graph(5), banana_graph(3)]
+    graphs += [random_connected_multigraph(rng, rng.randint(2, 6)) for _ in range(12)]
+    for g in graphs:
+        expected = None
+        for k in range(1, 5):
+            expected = next((d for d in sorted(effective_divisors(g.n, k),
+                                               key=lambda d: d.chips)
+                             if has_positive_rank(g, d)), None)
+            if expected is not None:
+                break
+        result = dgon_bruteforce(g, 4)
+        assert (result and result.witness) == expected
+    assert dgon_bruteforce(example_graph(), 3).witness.chips == (0, 0, 0, 0, 1, 0, 2)

@@ -103,6 +103,32 @@ class TestFlaps:
         r = frozenset(g.vertex_index(v) for v in "defg")
         assert [g.set_name(f) for f in g.flaps_within(x, r)] == ["d", "efg"]
 
+    def test_flaps_within_ignores_non_vertices(self, fixture_graph):
+        # like filtering flaps(x): a non-vertex in r lies in no flap
+        g = fixture_graph
+        x = frozenset(g.vertex_index(v) for v in "bc")
+        r = frozenset(g.vertex_index(v) for v in "defg") | {-1, g.n}
+        assert [g.set_name(f) for f in g.flaps_within(x, r)] == ["d", "efg"]
+
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_flaps_within_equals_filtered_flaps(self, g, rng):
+        # X and R drawn independently, so X may meet R and R may cut flaps
+        x = frozenset(v for v in range(g.n) if rng.random() < 0.3)
+        if rng.random() < 0.5:
+            # a union of X-flaps, plus some of X
+            r = frozenset().union(
+                *(f for f in g.flaps(x) if rng.random() < 0.5),
+                (v for v in x if rng.random() < 0.3))
+        else:
+            r = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+        flaps = g.flaps(x)
+        if any(f & r and not f <= r for f in flaps):
+            with pytest.raises(GraphError):
+                g.flaps_within(x, r)
+        else:
+            assert g.flaps_within(x, r) == [f for f in flaps if f <= r]
+
     @given(multigraphs(), st.randoms(use_true_random=False))
     @settings(max_examples=60)
     def test_partition_and_connectivity(self, g, rng):

@@ -13,6 +13,7 @@ from chiptree import (
     has_positive_rank,
     validate_mss,
 )
+from chiptree import divisors, gonality
 from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT
 
 from conftest import random_connected_multigraph
@@ -209,6 +210,34 @@ class TestBuildMss:
             report = validate_mss(g, tree, d.degree + 1)
             assert report.ok, report.first()
             built += 1
+
+
+def test_build_mss_reuses_the_rank_verdict(monkeypatch):
+    """After ``has_positive_rank(g, d)`` accepts, ``build_mss(g, d)`` keeps
+    its rank check but runs no further q-reduction."""
+    calls = [0]
+    reduce = divisors._reduce
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(divisors, "_reduce", counting)
+    monkeypatch.setattr(gonality, "_reduce", counting)
+    rng = random.Random(90210)
+    checked = 0
+    for _ in range(40):
+        g = random_connected_multigraph(rng, rng.randint(2, 7))
+        for d in effective_divisors(g.n, rng.randint(1, 3)):
+            before = calls[0]
+            if not has_positive_rank(g, d):
+                continue
+            tested = calls[0]
+            tree = build_mss(g, d)
+            assert calls[0] == tested
+            assert validate_mss(g, tree, d.degree + 1).ok
+            checked += tested > before
+    assert checked >= 20
 
 
 class TestValidateMss:

@@ -1,6 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from networkx.algorithms.approximation import treewidth_min_degree
 
 from chiptree import (
     BudgetError,
@@ -20,7 +23,13 @@ from chiptree import (
 from chiptree.fixtures import banana_graph, cycle_graph, path_graph
 from chiptree.gonality import effective_divisors
 
-from conftest import random_connected_multigraph, random_refinement
+from conftest import (
+    multigraphs,
+    random_connected_multigraph,
+    random_refinement,
+    treedec_violations_by_scan,
+    treewidth_by_all_orders,
+)
 
 
 class TestValidate:
@@ -70,6 +79,55 @@ class TestValidate:
         )
         report = validate_treedec(g, td)
         assert not report.ok
+
+    def test_violation_strings_in_order(self):
+        g = cycle_graph(4)
+        td = TreeDecomposition(
+            [frozenset({0, 1}), frozenset({2, 7}), frozenset({0, 2})],
+            [(0, 1), (1, 2)],
+        )
+        assert validate_treedec(g, td).violations == [
+            "condition 1: vertices [3] in no bag",
+            "bags mention unknown vertices [7]",
+            "condition 2: edge (0,3) in no bag",
+            "condition 2: edge (1,2) in no bag",
+            "condition 2: edge (2,3) in no bag",
+            "condition 3 at vertex 0",
+        ]
+
+
+def _corruptions(rng, td):
+    """A decomposition with one defect each: a vertex dropped from a bag,
+    a tree edge removed, and a vertex added to a bag away from its subtree."""
+    bags, edges = list(td.bags), list(td.tree_edges)
+    full = [i for i, bag in enumerate(bags) if bag]
+    i = rng.choice(full)
+    dropped = bags[:i] + [bags[i] - {rng.choice(sorted(bags[i]))}] + bags[i + 1:]
+    yield "dropped", TreeDecomposition(dropped, edges)
+    if edges:
+        cut = rng.randrange(len(edges))
+        yield "cut", TreeDecomposition(bags, edges[:cut] + edges[cut + 1:])
+    v = rng.choice(sorted(set().union(*bags)))
+    j = rng.choice([k for k, bag in enumerate(bags) if v not in bag] or [0])
+    added = bags[:j] + [bags[j] | {v}] + bags[j + 1:]
+    yield "added", TreeDecomposition(added, edges)
+
+
+def test_one_pass_validation_matches_bag_scans_on_corruptions():
+    rng = random.Random(4242)
+    rejected = {"dropped": 0, "cut": 0, "added": 0}
+    for _ in range(60):
+        g = random_connected_multigraph(rng, rng.randint(2, 7))
+        d = next((d for d in effective_divisors(g.n, rng.randint(1, 3))
+                  if has_positive_rank(g, d)), None)
+        td = (mss_to_treedec(g, build_mss(g, d)) if d is not None
+              else treedec_by_elimination(g))
+        assert validate_treedec(g, td).violations == []
+        for kind, bad in _corruptions(rng, td):
+            violations = validate_treedec(g, bad).violations
+            assert violations == treedec_violations_by_scan(g, bad), kind
+            rejected[kind] += bool(violations)
+    assert all(rejected.values()), rejected
 
 
 class TestMssToTreedec:
@@ -160,6 +218,21 @@ class TestTreewidthOracle:
             report = validate_treedec(g, td)
             assert report.ok, report.violations
             assert treewidth_bruteforce(g) <= report.width
+
+
+@given(multigraphs())
+@settings(max_examples=120, deadline=None)
+def test_bitmask_oracle_matches_all_elimination_orders(g):
+    assume(g.n <= 6)
+    tw = treewidth_bruteforce(g)
+    assert tw == treewidth_by_all_orders(g)
+    simple = nx.Graph()
+    simple.add_nodes_from(range(g.n))
+    simple.add_edges_from(g.edge_multiplicities)
+    assert tw <= treewidth_min_degree(simple)[0]
+    assert treewidth_bruteforce(g, max_width=tw) == tw
+    if tw > 0:
+        assert treewidth_bruteforce(g, max_width=tw - 1) is None
 
 
 class TestEliminationDecomposition:
