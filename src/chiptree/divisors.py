@@ -86,19 +86,17 @@ class FiringScript:
         return max(self.x)
 
 
-def _require_effective(d: Divisor, what: str = "divisor") -> None:
+def _require_divisor(g: MultiGraph, d: Divisor) -> None:
+    """The one divisor check: d has a chip count for every vertex, none negative."""
+    if len(d) != g.n:
+        raise DomainError(f"divisor length {len(d)} does not match n={g.n}")
     if not d.is_effective:
-        raise DomainError(f"{what} must be effective, got chips {d.chips}")
+        raise DomainError(f"divisor must be effective, got chips {d.chips}")
 
 
 def _require_connected(g: MultiGraph) -> None:
     if not g.is_connected():
         raise DomainError("graph must be connected")
-
-
-def check_divisor(g: MultiGraph, d: Divisor) -> None:
-    if len(d) != g.n:
-        raise DomainError(f"divisor length {len(d)} does not match n={g.n}")
 
 
 def _require_vertices(g: MultiGraph, vs: Iterable[int], what: str = "vertex") -> None:
@@ -109,8 +107,7 @@ def _require_vertices(g: MultiGraph, vs: Iterable[int], what: str = "vertex") ->
 
 def is_fireable(g: MultiGraph, d: Divisor, u: Iterable[int]) -> bool:
     """True iff every vertex of u keeps a nonnegative chip count when u fires."""
-    check_divisor(g, d)
-    _require_effective(d)
+    _require_divisor(g, d)
     uset = frozenset(u)
     _require_vertices(g, uset)
     return all(g.outdeg(uset, v) <= d[v] for v in uset)
@@ -118,8 +115,7 @@ def is_fireable(g: MultiGraph, d: Divisor, u: Iterable[int]) -> bool:
 
 def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
     """Fire the set u: one chip moves along every edge leaving u."""
-    check_divisor(g, d)
-    _require_effective(d)
+    _require_divisor(g, d)
     uset = frozenset(u)
     _require_vertices(g, uset)
     for v in uset:
@@ -132,8 +128,11 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
 
 
 def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
-    """D - Qx, computed edge-wise in exact integer arithmetic."""
-    check_divisor(g, d)
+    """D - Qx, computed edge-wise in exact integer arithmetic; d need not be effective."""
+    if len(d) != g.n or len(x) != g.n:
+        raise DomainError(
+            f"divisor length {len(d)} and script length {len(x)} must both be n={g.n}"
+        )
     chips = list(d.chips)
     for (u, v), m in g.edge_multiplicities.items():
         diff = x[u] - x[v]
@@ -144,8 +143,7 @@ def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
 
 def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
     """Maximal fireable subset of V - {q}, or the empty set if d is q-reduced."""
-    check_divisor(g, d)
-    _require_effective(d)
+    _require_divisor(g, d)
     _require_connected(g)
     _require_vertices(g, (q,), "q")
     return frozenset(_dhar(g._adj, d.chips, q)[0])
@@ -165,8 +163,7 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     A round does at least the work of one unbatched firing, which lowers
     the distance to the fixed point by one, so deg(d) * n rounds suffice.
     """
-    check_divisor(g, d)
-    _require_effective(d)
+    _require_divisor(g, d)
     _require_connected(g)
     _require_vertices(g, (q,), "q")
     chips = list(d.chips)
@@ -247,8 +244,6 @@ def script_between(g: MultiGraph, d1: Divisor, d2: Divisor) -> Optional[FiringSc
     Both divisors are reduced at vertex 0; equality of the reduced forms
     decides equivalence and the scripts compose by subtraction.
     """
-    _require_effective(d1, "d1")
-    _require_effective(d2, "d2")
     r1, x1 = q_reduce(g, d1, 0)
     r2, x2 = q_reduce(g, d2, 0)
     if r1 != r2:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
-from .divisors import Divisor, _reduce, check_divisor
+from .divisors import Divisor, _reduce, _require_connected, _require_divisor
 from .errors import BudgetError, DomainError
 from .graph import MultiGraph
 
@@ -31,12 +31,9 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     usual "test, then ``build_mss``" sequence reduces only once.  One entry
     is enough for that and keeps the memory flat.
     """
-    if not d.is_effective:
-        raise DomainError("positive-rank test requires an effective divisor")
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
-    check_divisor(g, d)
-    if getattr(g, "_positive_rank", None) == d.chips:
+    _require_divisor(g, d)
+    _require_connected(g)
+    if g._positive_rank == d.chips:
         return True
     for q in range(g.n):
         if d[q]:
@@ -45,7 +42,7 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
         _reduce(g._adj, chips, q, until_chip_on_q=True)
         if not chips[q]:
             return False
-    object.__setattr__(g, "_positive_rank", d.chips)
+    g._positive_rank = d.chips
     return True
 
 
@@ -96,8 +93,7 @@ def dgon_bruteforce(g: MultiGraph, max_degree: int,
     """
     if max_degree < 1:
         raise DomainError("max_degree must be positive")
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
+    _require_connected(g)
     space = sum(math.comb(g.n + d - 1, d) for d in range(1, max_degree + 1))
     if space > budget:
         raise BudgetError(

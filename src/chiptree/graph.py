@@ -41,6 +41,10 @@ class MultiGraph:
             adj[u][v] = m
             adj[v][u] = m
         self._adj = adj
+        # one-entry memos: connectivity, and the last divisor that
+        # ``gonality.has_positive_rank`` accepted
+        self._connected: Optional[bool] = None
+        self._positive_rank: Optional[tuple[int, ...]] = None
         if labels is not None:
             labels = list(labels)
             if len(labels) != n:
@@ -174,11 +178,9 @@ class MultiGraph:
 
     def is_connected(self) -> bool:
         """True iff the graph has exactly one component (empty graph: false)."""
-        cached = getattr(self, "_connected", None)
-        if cached is None:
-            cached = len(self.flaps(())) == 1
-            object.__setattr__(self, "_connected", cached)
-        return cached
+        if self._connected is None:
+            self._connected = len(self.flaps(())) == 1
+        return self._connected
 
     def flaps_within(self, x: Iterable[int], r: Iterable[int]) -> list[VertexSet]:
         """The X-flaps contained in r; r must be a union of X-flaps.

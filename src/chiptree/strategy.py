@@ -13,7 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .divisors import Divisor, _dhar, _fire, _require_vertices, check_divisor
+from .divisors import (Divisor, _dhar, _fire, _require_connected,
+                       _require_divisor, _require_vertices)
 from .errors import DomainError, GraphError, InternalError
 from .graph import MultiGraph, VertexSet
 
@@ -49,8 +50,6 @@ class MssTree:
 
     nodes: list[MssNode]
     searchers: int
-    # effective divisor kept for each leaf during construction
-    leaf_divisors: dict[int, Divisor] = field(default_factory=dict)
 
     @property
     def root(self) -> int:
@@ -100,27 +99,32 @@ class MssReport:
 
 
 def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
-                    r: VertexSet, trace=None) -> tuple[Divisor, VertexSet]:
-    """Find d'' ~ d and a fireable set meeting X but avoiding the flap r.
+                    r: VertexSet) -> tuple[Divisor, VertexSet]:
+    """Find d'' ~ d and a fireable set meeting X but avoiding the flap r."""
+    if not r:
+        raise DomainError("territory flap must be nonempty")
+    _require_divisor(g, d)
+    _require_connected(g)
+    _require_vertices(g, x, "searcher")
+    _require_vertices(g, r, "territory vertex")
+    chips = list(d.chips)
+    u = _good_firing_set(g._adj, chips, x, r)
+    return Divisor(tuple(chips)), frozenset(u)
+
+
+def _good_firing_set(adj: list[dict[int, int]], chips: list[int],
+                     x: VertexSet, r: VertexSet) -> set[int]:
+    """Unchecked kernel of ``good_firing_set``: advance chips in place to d''
+    and return its fireable set U.
 
     Repeatedly runs Dhar's algorithm at the smallest vertex of r, firing
     the result once while it stays disjoint from X.  Termination within
     deg(d) * n rounds follows from the distance-decrease argument.
     """
-    if not r:
-        raise DomainError("territory flap must be nonempty")
-    check_divisor(g, d)
-    if not d.is_effective:
-        raise DomainError("divisor must be effective")
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
-    _require_vertices(g, x, "searcher")
-    _require_vertices(g, r, "territory vertex")
     q = min(r)
-    bound = max(1, d.degree * g.n)
-    chips = list(d.chips)
+    bound = max(1, sum(chips) * len(chips))
     for _ in range(bound + 1):
-        u, _ = _dhar(g._adj, chips, q)
+        u, _ = _dhar(adj, chips, q)
         if not u:
             raise InternalError(
                 "Dhar returned the empty set during good_firing_set; "
@@ -129,13 +133,8 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
         if u & x:
             if u & r:
                 raise InternalError("fireable set meets the territory flap")
-            return Divisor(tuple(chips)), frozenset(u)
-        if trace is None:
-            _fire(g._adj, chips, u, 1)
-        else:
-            cur = Divisor(tuple(chips))
-            _fire(g._adj, chips, u, 1)
-            trace.append((cur, frozenset(u), Divisor(tuple(chips))))
+            return u
+        _fire(adj, chips, u, 1)
     raise InternalError(
         f"good_firing_set did not finish within {bound} iterations"
     )
@@ -145,14 +144,11 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     """Construct a complete monotone search strategy for deg(d)+1 searchers.
 
     ``trace``, if given, collects (step, position, detail) tuples describing
-    the construction for auditing.
+    the construction for auditing.  The rank test is the one input check;
+    the loop then runs the unchecked ``_good_firing_set`` kernel.
     """
     from .gonality import has_positive_rank  # local import avoids a cycle
 
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
-    if not d.is_effective:
-        raise DomainError("divisor must be effective")
     if not has_positive_rank(g, d):
         raise DomainError("divisor does not have positive rank")
 
@@ -164,20 +160,18 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
 
     tree = MssTree(nodes=[MssNode(root_pos, move=ROOT)], searchers=k + 1)
 
-    def add_node(parent: int, pos: Position, move: str,
-                 divisor: Optional[Divisor] = None) -> int:
+    def add_node(parent: int, pos: Position, move: str) -> int:
         idx = len(tree.nodes)
         tree.nodes.append(MssNode(pos, move=move, parent=parent))
         tree.nodes[parent].children.append(idx)
-        tree.leaf_divisors.pop(parent, None)
-        if divisor is not None:
-            tree.leaf_divisors[idx] = divisor
         return idx
 
-    pending: deque[int] = deque()
-    first_idx = add_node(0, first, GROW, d)
+    # open positions with the chips of an effective D, X <= supp(D) and R
+    # disjoint from supp(D); tuples, so that split siblings can share them
+    pending: deque[tuple[int, tuple[int, ...]]] = deque()
+    first_idx = add_node(0, first, GROW)
     if first.territory:
-        pending.append(first_idx)
+        pending.append((first_idx, d.chips))
 
     rounds = 0
     max_rounds = g.n * g.n + 1
@@ -185,10 +179,9 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         rounds += 1
         if rounds > max_rounds:
             raise InternalError("construction exceeded the n^2 node bound")
-        i = pending.popleft()
+        i, chips_cur = pending.popleft()
         pos = tree.nodes[i].position
         x, r = pos.searchers, pos.territory
-        d_cur = tree.leaf_divisors[i]
         flaps = g.flaps_within(x, r)
 
         if len(flaps) >= 2:
@@ -196,8 +189,8 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             if trace is not None:
                 trace.append(("I", pos, flaps))
             for flap in flaps:
-                child = add_node(i, Position(x, flap), SPLIT, d_cur)
-                pending.append(child)
+                child = add_node(i, Position(x, flap), SPLIT)
+                pending.append((child, chips_cur))
             continue
 
         nr = g.neighborhood(r)
@@ -205,14 +198,15 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             # step II: retract searchers not bordering the territory
             if trace is not None:
                 trace.append(("II", pos, nr))
-            child = add_node(i, Position(nr, r), SHRINK, d_cur)
-            pending.append(child)
+            child = add_node(i, Position(nr, r), SHRINK)
+            pending.append((child, chips_cur))
             continue
 
         # step III: N(R) = X and R is a single flap; advance along a firing set
-        d2, u = good_firing_set(g, d_cur, x, r)
+        chips = list(chips_cur)
+        u = _good_firing_set(g._adj, chips, x, r)
         if trace is not None:
-            trace.append(("III", pos, (d2, u)))
+            trace.append(("III", pos, (Divisor(tuple(chips)), frozenset(u))))
         movers = sorted(u & x)
         prev_x, prev_r = x, r
         parent = i
@@ -224,11 +218,9 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             xi_prime = xi - {s}
             parent = add_node(parent, Position(xi_prime, ri), SHRINK)
             prev_x, prev_r = xi_prime, ri
-        chips = list(d2.chips)
         _fire(g._adj, chips, u, 1)
-        tree.leaf_divisors[parent] = Divisor(tuple(chips))
         if prev_r:
-            pending.append(parent)
+            pending.append((parent, tuple(chips)))
 
     return tree
 

@@ -57,6 +57,10 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     b = len(td.bags)
     if b == 0:
         return TdReport(False, -1, ["decomposition has no bags"])
+    outside = [f"tree edge ({i},{j}) names a bag outside 0..{b - 1}"
+               for i, j in td.tree_edges if not (0 <= i < b and 0 <= j < b)]
+    if outside:
+        return TdReport(False, td.width, outside)
 
     n = g.n
     holding: dict[int, set[int]] = {v: set() for v in range(n)}

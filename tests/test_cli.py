@@ -64,6 +64,13 @@ class TestInfo:
         assert err.startswith("error: malformed-input:")
         assert len(err.splitlines()) == 1
 
+    def test_format_is_not_an_option(self, capsys, doc_path):
+        # only mss, treedec and morphism-td write a format
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--input", doc_path, "--format", "dot"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
 
 class TestReduceAndDhar:
     def test_reduce_to_d(self, capsys, doc_path):

@@ -359,6 +359,13 @@ def test_firing_entry_points_check_their_inputs(call, chips):
         call(path3(), Divisor(chips), {0})
 
 
+@pytest.mark.parametrize("script", [(0,), (1, 0, 0, 1)], ids=["short", "long"])
+def test_apply_script_checks_the_script_length(script):
+    # D - Qx is defined for any integer divisor, so only lengths are checked
+    with pytest.raises(DomainError):
+        apply_script(path3(), Divisor((1, 0, 0)), FiringScript(script))
+
+
 VERTEX_ARGUMENT_CALLS = {
     "dhar": lambda g, d, v: dhar(g, d, v),
     "is_q_reduced": lambda g, d, v: is_q_reduced(g, d, v),

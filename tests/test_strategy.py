@@ -172,15 +172,6 @@ class TestBuildMss:
                 assert child.searchers <= (node.position.searchers
                                            | node.position.territory)
 
-    def test_leaf_divisors_respect_invariant(self, fixture_graph,
-                                             fixture_divisor):
-        tree = build_mss(fixture_graph, fixture_divisor)
-        assert tree.leaf_divisors
-        for i, d in tree.leaf_divisors.items():
-            pos = tree.nodes[i].position
-            assert pos.searchers <= d.support
-            assert not (pos.territory & d.support)
-
     def test_potential_dominates_children(self, fixture_graph, fixture_divisor):
         # f(X,R) = |R| (|X| + |R|) bounds descendants, per the size argument
         tree = build_mss(fixture_graph, fixture_divisor)
@@ -196,20 +187,42 @@ class TestBuildMss:
                 assert f(node.position) >= child_sum + len(node.children)
 
     def test_size_bound_on_random_corpus(self):
-        rng = random.Random(777)
-        built = 0
-        while built < 15:
-            g = random_connected_multigraph(rng, rng.randint(2, 6))
-            d = next(
-                (d for d in effective_divisors(g.n, rng.randint(1, 3))
-                 if has_positive_rank(g, d)), None)
-            if d is None:
-                continue
+        for g, d in _random_corpus():
             tree = build_mss(g, d)
             assert len(tree.nodes) <= g.n * g.n + 1
             report = validate_mss(g, tree, d.degree + 1)
             assert report.ok, report.first()
-            built += 1
+
+    def test_step_iii_divisors_respect_invariant(self, fixture_graph,
+                                                 fixture_divisor):
+        # every step III fires from a divisor D with X <= supp(D) and
+        # R disjoint from supp(D)
+        cases = [(fixture_graph, fixture_divisor), *_random_corpus()]
+        steps = 0
+        for g, d in cases:
+            trace = []
+            build_mss(g, d, trace=trace)
+            for step, pos, detail in trace:
+                if step == "III":
+                    d2, _ = detail
+                    assert pos.searchers <= d2.support
+                    assert not (pos.territory & d2.support)
+                    steps += 1
+        assert steps
+
+
+def _random_corpus():
+    """15 seeded connected multigraphs, each with a positive-rank divisor."""
+    rng = random.Random(777)
+    built = []
+    while len(built) < 15:
+        g = random_connected_multigraph(rng, rng.randint(2, 6))
+        d = next(
+            (d for d in effective_divisors(g.n, rng.randint(1, 3))
+             if has_positive_rank(g, d)), None)
+        if d is not None:
+            built.append((g, d))
+    return built
 
 
 def test_build_mss_reuses_the_rank_verdict(monkeypatch):

@@ -94,6 +94,14 @@ class TestValidate:
             "condition 2: edge (2,3) in no bag",
             "condition 3 at vertex 0",
         ]
+        # a tree edge naming no bag is reported before the tree is walked;
+        # -1 must not wrap around to the last bag
+        g = MultiGraph(2, [(0, 1)])
+        for i, j in [(0, 5), (0, -1)]:
+            td = TreeDecomposition([frozenset({0, 1}), frozenset({1})], [(i, j)])
+            assert validate_treedec(g, td).violations == [
+                f"tree edge ({i},{j}) names a bag outside 0..1"
+            ]
 
 
 def _corruptions(rng, td):
