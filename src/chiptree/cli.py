@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 validation or domain failure (one-line reason on
 stderr), 2 malformed input.
+
+Each ``cmd_*`` imports only the library modules it runs (README: CLI start-up).
 """
 
 from __future__ import annotations
@@ -9,15 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import formats
-from .divisors import Divisor, dhar, q_reduce
 from .errors import ChipTreeError, DomainError, FormatError, GraphError
-from .gonality import dgon_bruteforce, has_positive_rank
-from .graph import MultiGraph
-from .strategy import build_mss
-from .treedec import RefinementMap, mss_to_treedec, validate_treedec
-from .morphism import stable_treedec
+
+if TYPE_CHECKING:
+    from .divisors import Divisor
+    from .graph import MultiGraph
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -81,6 +82,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .divisors import q_reduce
     g, d = _load_graph(args)
     d = _need_divisor(g, d)
     q = g.vertex_index(args.q)
@@ -93,6 +95,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_dhar(args) -> int:
+    from .divisors import dhar
     g, d = _load_graph(args)
     d = _need_divisor(g, d)
     q = g.vertex_index(args.q)
@@ -102,6 +105,7 @@ def cmd_dhar(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .gonality import has_positive_rank
     g, d = _load_graph(args)
     d = _need_divisor(g, d)
     result = has_positive_rank(g, d)
@@ -110,6 +114,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_gonality(args) -> int:
+    from .gonality import dgon_bruteforce
     g, _ = _load_graph(args)
     result = dgon_bruteforce(g, args.max_degree)
     if result is None:
@@ -123,6 +128,7 @@ def cmd_gonality(args) -> int:
 
 
 def cmd_mss(args) -> int:
+    from .strategy import build_mss
     g, d = _load_graph(args)
     d = _need_divisor(g, d)
     trace, flush = _trace_mss(g, args.trace)
@@ -141,6 +147,8 @@ def cmd_mss(args) -> int:
 
 
 def cmd_treedec(args) -> int:
+    from .strategy import build_mss
+    from .treedec import mss_to_treedec
     g, d = _load_graph(args)
     d = _need_divisor(g, d)
     trace, flush = _trace_mss(g, args.trace)
@@ -155,6 +163,8 @@ def cmd_treedec(args) -> int:
 
 
 def cmd_morphism_td(args) -> int:
+    from .morphism import stable_treedec
+    from .treedec import RefinementMap
     g_refined, _ = _load_graph(args)
     t = formats.parse_gr(_read(args.tree))
     f = formats.parse_morphism(_read(args.morphism), g_refined, t)
@@ -174,6 +184,7 @@ def cmd_morphism_td(args) -> int:
 
 
 def cmd_verify_td(args) -> int:
+    from .treedec import validate_treedec
     g, _ = _load_graph(args)
     td = formats.parse_td(_read(args.td))
     report = validate_treedec(g, td)

@@ -8,18 +8,19 @@ through q-reduction, whose fixed point is unique per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
-from .graph import MultiGraph, VertexSet
+from .graph import FrozenRecord, MultiGraph, VertexSet
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(FrozenRecord):
     """Integer chip vector indexed by vertex."""
 
-    chips: tuple[int, ...]
+    __slots__ = ("chips",)
+
+    def __init__(self, chips: tuple[int, ...]):
+        object.__setattr__(self, "chips", chips)
 
     @staticmethod
     def of(chips: Iterable[int]) -> "Divisor":
@@ -59,11 +60,10 @@ class Divisor:
         return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class FiringScript:
+class FiringScript(FrozenRecord):
     """Normalized firing counts: nonnegative, zero on at least one vertex."""
 
-    x: tuple[int, ...]
+    __slots__ = ("x",)
 
     @staticmethod
     def normalized(values: Iterable[int]) -> "FiringScript":

@@ -1,17 +1,21 @@
 """Text formats: PACE-style .gr and .td files, sparse divisor strings,
 morphism and refinement-map files, and the self-describing document format
 that bundles a graph with a divisor for single-file fixtures.
+
+Parsers of .td, morphism and refinement-map files import their records lazily.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .divisors import Divisor
 from .errors import FormatError
 from .graph import MultiGraph
-from .morphism import FiniteMorphism
-from .treedec import RefinementMap, TreeDecomposition
+
+if TYPE_CHECKING:
+    from .morphism import FiniteMorphism
+    from .treedec import RefinementMap, TreeDecomposition
 
 DOCUMENT_FORMAT = "chiptree/1"
 
@@ -78,6 +82,7 @@ def write_gr(g: MultiGraph) -> str:
 
 def parse_td(text: str) -> TreeDecomposition:
     """Header ``s td <bags> <max bag size> <n>``, bag lines, tree edges."""
+    from .treedec import TreeDecomposition
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty .td input")
@@ -233,6 +238,7 @@ def parse_graph_auto(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
 
 def parse_morphism(text: str, g: MultiGraph, t: MultiGraph) -> FiniteMorphism:
     """Lines ``v <g-vertex> <t-vertex>`` and ``e <g-edge-id> <t-edge-id> <index>``."""
+    from .morphism import FiniteMorphism
     vmap: dict[int, int] = {}
     emap: dict[int, tuple[int, int]] = {}
     for line in _content_lines(text):
@@ -270,6 +276,7 @@ def write_morphism(f: FiniteMorphism, g: MultiGraph, t: MultiGraph) -> str:
 def parse_refinement_map(text: str) -> RefinementMap:
     """Lines ``orig <refined> <original>``, ``sub <refined> <u> <w> <copy> <pos>``,
     ``leaf <refined> <anchor>``; all ids are 0-based integers."""
+    from .treedec import RefinementMap
     original: dict[int, int] = {}
     subdivision: dict[int, tuple[int, int, int, int]] = {}
     leaves: dict[int, int] = {}

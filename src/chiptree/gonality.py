@@ -3,21 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
 from .divisors import Divisor, _reduce, _require_connected, _require_divisor
 from .errors import BudgetError, DomainError
-from .graph import MultiGraph
+from .graph import FrozenRecord, MultiGraph
 
 DEFAULT_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class GonalityResult:
-    value: int
-    witness: Divisor
+class GonalityResult(FrozenRecord):
+    __slots__ = ("value", "witness")
 
 
 def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:

@@ -1,4 +1,5 @@
-"""Loopless multigraphs and the structural queries everything else builds on.
+"""Loopless multigraphs and the structural queries everything else builds on,
+plus the slotted ``Record`` base that the package's result types share.
 
 Vertices are dense integers 0..n-1; optional display labels are attached at
 parse time only.  Parallel edges are stored as multiplicities, not repeated
@@ -13,6 +14,52 @@ from typing import Iterable, Optional, Sequence
 from .errors import GraphError
 
 VertexSet = frozenset
+
+
+class Record:
+    """Base of the package's records: the fields are the ``__slots__``, equal
+    field by field within one class and shown by repr.  Hot records define
+    their own ``__init__``; this one takes the fields by position or keyword."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A hashable record whose fields cannot be assigned after ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class MultiGraph:
@@ -57,10 +104,6 @@ class MultiGraph:
         )
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
 
     @property
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
@@ -123,15 +166,6 @@ class MultiGraph:
         return hash((self.n, tuple(self._mult.items())))
 
     # -- structural queries ------------------------------------------------
-
-    def laplacian(self) -> list[list[int]]:
-        """Integer Laplacian: degrees on the diagonal, minus multiplicities off it."""
-        q = [[0] * self.n for _ in range(self.n)]
-        for v in range(self.n):
-            q[v][v] = self.degree(v)
-            for w, m in self._adj[v].items():
-                q[v][w] = -m
-        return q
 
     def outdeg(self, u: Iterable[int], v: int) -> int:
         """Number of edges (with multiplicity) from v to vertices outside u."""

@@ -11,35 +11,30 @@ at most k by subdividing each tree edge once per fiber edge.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError
-from .graph import MultiGraph
+from .graph import FrozenRecord, MultiGraph, Record
 from .treedec import RefinementMap, TreeDecomposition, contract_refinement
 
 
-@dataclass(frozen=True)
-class FiniteMorphism:
+class FiniteMorphism(FrozenRecord):
     """vertex_map[v] is the image tree vertex; edge_map[i] the image tree
     edge id of the i-th graph edge (ids index ``MultiGraph.edge_list``);
     index[i] the positive index of that edge."""
 
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-    index: tuple[int, ...]
+    __slots__ = ("vertex_map", "edge_map", "index")
 
 
-@dataclass
-class MorphismReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
+class MorphismReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: Optional[list[str]] = None):
+        self.ok, self.violations = ok, [] if violations is None else violations
 
 
-@dataclass(frozen=True)
-class HarmonicCertificate:
-    m: tuple[int, ...]   # per-vertex fiber sum
-    degree: int
+class HarmonicCertificate(FrozenRecord):
+    __slots__ = ("m", "degree")   # per-vertex fiber sums, and the degree
 
 
 def is_tree(t: MultiGraph) -> bool:

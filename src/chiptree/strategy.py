@@ -10,13 +10,12 @@ and advancing into the territory along a fireable set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .divisors import (Divisor, _dhar, _fire, _require_connected,
-                       _require_divisor, _require_vertices)
+from .divisors import Divisor, _dhar, _fire, _require_vertices
 from .errors import DomainError, GraphError, InternalError
-from .graph import MultiGraph, VertexSet
+from .gonality import has_positive_rank
+from .graph import FrozenRecord, MultiGraph, Record, VertexSet
 
 SPLIT = "split"    # case (c), construction step I
 SHRINK = "shrink"  # case (a), construction step II
@@ -27,42 +26,37 @@ ROOT = "root"
 STEP_LABEL = {SPLIT: "I", SHRINK: "II", GROW: "III"}
 
 
-@dataclass(frozen=True)
-class Position:
-    searchers: VertexSet   # X
-    territory: VertexSet   # R
+class Position(FrozenRecord):
+    __slots__ = ("searchers", "territory")   # X and R
+
+    def __init__(self, searchers: VertexSet, territory: VertexSet):
+        object.__setattr__(self, "searchers", searchers)
+        object.__setattr__(self, "territory", territory)
 
     def label(self, g: MultiGraph) -> str:
         return f"{g.set_name(self.searchers)} | {g.set_name(self.territory)}"
 
 
-@dataclass
-class MssNode:
-    position: Position
-    move: str = LEAF
-    parent: Optional[int] = None
-    children: list[int] = field(default_factory=list)
+class MssNode(Record):
+    __slots__ = ("position", "move", "parent", "children")
+
+    def __init__(self, position: Position, move: str = LEAF,
+                 parent: Optional[int] = None, children: Optional[list[int]] = None):
+        self.position, self.move, self.parent = position, move, parent
+        self.children = [] if children is None else children
 
 
-@dataclass
-class MssTree:
+class MssTree(Record):
     """Rooted strategy tree; node 0 is the root (empty X, full territory)."""
 
-    nodes: list[MssNode]
-    searchers: int
+    __slots__ = ("nodes", "searchers")
+
+    def __init__(self, nodes: list[MssNode], searchers: int):
+        self.nodes, self.searchers = nodes, searchers
 
     @property
     def root(self) -> int:
         return 0
-
-    def position(self, i: int) -> Position:
-        return self.nodes[i].position
-
-    def positions(self) -> list[Position]:
-        return [node.position for node in self.nodes]
-
-    def leaves(self) -> list[int]:
-        return [i for i, node in enumerate(self.nodes) if not node.children]
 
     def max_searchers_used(self) -> int:
         return max(len(node.position.searchers) for node in self.nodes)
@@ -83,16 +77,15 @@ class MssTree:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class MssViolation:
-    node: Optional[int]
-    reason: str
+class MssViolation(Record):
+    __slots__ = ("node", "reason")
 
 
-@dataclass
-class MssReport:
-    ok: bool
-    violations: list[MssViolation]
+class MssReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list[MssViolation]):
+        self.ok, self.violations = ok, violations
 
     def first(self) -> Optional[MssViolation]:
         return self.violations[0] if self.violations else None
@@ -103,10 +96,10 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
     """Find d'' ~ d and a fireable set meeting X but avoiding the flap r."""
     if not r:
         raise DomainError("territory flap must be nonempty")
-    _require_divisor(g, d)
-    _require_connected(g)
     _require_vertices(g, x, "searcher")
     _require_vertices(g, r, "territory vertex")
+    if not has_positive_rank(g, d):  # also checks d and connectivity
+        raise DomainError("divisor does not have positive rank")
     chips = list(d.chips)
     u = _good_firing_set(g._adj, chips, x, r)
     return Divisor(tuple(chips)), frozenset(u)
@@ -147,8 +140,6 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     the construction for auditing.  The rank test is the one input check;
     the loop then runs the unchecked ``_good_firing_set`` kernel.
     """
-    from .gonality import has_positive_rank  # local import avoids a cycle
-
     if not has_positive_rank(g, d):
         raise DomainError("divisor does not have positive rank")
 
@@ -241,10 +232,30 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     if not tree.nodes:
         return MssReport(False, [MssViolation(None, "empty tree")])
 
-    if tree.nodes[0].position != Position(frozenset(), everything):
+    # before any check reads a node, walk from the root: every child index
+    # names a node, no node is reached twice and every node is reached
+    size = len(tree.nodes)
+    walk, reached = [0], [True] + [False] * (size - 1)
+    for i in walk:
+        for c in tree.nodes[i].children:
+            if not (isinstance(c, int) and 0 <= c < size):
+                bad(i, f"child {c!r} names a node outside 0..{size - 1}")
+            elif reached[c]:
+                bad(i, f"child {c} is already in the tree")
+            else:
+                reached[c] = True
+                walk.append(c)
+    if len(walk) < size:
+        unreached = [i for i in range(size) if not reached[i]]
+        bad(None, f"nodes {unreached} are not reachable from the root")
+    if violations:
+        return MssReport(False, violations)
+
+    root = tree.nodes[0].position
+    if root.searchers or root.territory != everything:
         bad(0, "root is not (empty, V)")
-    if len(tree.nodes) > n * n + 1:
-        bad(None, f"tree has {len(tree.nodes)} nodes, above the n^2+1 bound")
+    if size > n * n + 1:
+        bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
     for i, node in enumerate(tree.nodes):
         x, r = node.position.searchers, node.position.territory

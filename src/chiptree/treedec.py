@@ -3,20 +3,20 @@ an exact brute-force treewidth oracle, and refinement contraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import MultiGraph, VertexSet
+from .graph import FrozenRecord, MultiGraph, Record, VertexSet
 from .strategy import MssTree, validate_mss
 
 
-@dataclass
-class TreeDecomposition:
+class TreeDecomposition(Record):
     """Bags indexed 0..b-1 plus the undirected tree edges between them."""
 
-    bags: list[VertexSet]
-    tree_edges: list[tuple[int, int]]
+    __slots__ = ("bags", "tree_edges")
+
+    def __init__(self, bags: list[VertexSet], tree_edges: list[tuple[int, int]]):
+        self.bags, self.tree_edges = bags, tree_edges
 
     @property
     def width(self) -> int:
@@ -40,11 +40,12 @@ class TreeDecomposition:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class TdReport:
-    ok: bool
-    width: int
-    violations: list[str] = field(default_factory=list)
+class TdReport(Record):
+    __slots__ = ("ok", "width", "violations")
+
+    def __init__(self, ok: bool, width: int, violations: Optional[list[str]] = None):
+        self.ok, self.width = ok, width
+        self.violations = [] if violations is None else violations
 
 
 def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
@@ -252,8 +253,7 @@ def treedec_by_elimination(g: MultiGraph,
     return TreeDecomposition(bags, edges)
 
 
-@dataclass(frozen=True)
-class RefinementMap:
+class RefinementMap(FrozenRecord):
     """How a refined graph's vertices relate to the original graph.
 
     ``original`` maps refined vertex ids to original vertex ids,
@@ -262,9 +262,7 @@ class RefinementMap:
     ``added_leaves`` maps an added leaf to its anchor (refined vertex id).
     """
 
-    original: dict[int, int]
-    subdivision: dict[int, tuple[int, int, int, int]]
-    added_leaves: dict[int, int]
+    __slots__ = ("original", "subdivision", "added_leaves")
 
     @staticmethod
     def identity(n: int) -> "RefinementMap":

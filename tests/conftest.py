@@ -100,6 +100,18 @@ def reachable_effective_divisors(g: MultiGraph, d: Divisor) -> set:
     return seen
 
 
+def laplacian(g: MultiGraph) -> list[list[int]]:
+    """Integer Laplacian from the edge multiplicities: degrees on the
+    diagonal, minus multiplicities off it."""
+    q = [[0] * g.n for _ in range(g.n)]
+    for (u, v), m in g.edge_multiplicities.items():
+        q[u][u] += m
+        q[v][v] += m
+        q[u][v] -= m
+        q[v][u] -= m
+    return q
+
+
 def treewidth_by_all_orders(g: MultiGraph) -> int:
     """Least elimination width over every vertex order (n <= 6 or so)."""
     neighbours = [{w for (a, b) in g.edge_list for w in (a, b)

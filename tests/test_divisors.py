@@ -25,6 +25,7 @@ from chiptree import (
 )
 
 from conftest import (
+    laplacian,
     maximal_fireable_subset,
     multigraphs,
     random_connected_multigraph,
@@ -110,7 +111,7 @@ class TestFireSet:
         u = {g.vertex_index("a")}
         fired = fire_set(g, fixture_divisor, u)
         ones = [1 if v in u else 0 for v in range(g.n)]
-        q = g.laplacian()
+        q = laplacian(g)
         expected = [
             fixture_divisor[v] - int(sum(q[v][w] * ones[w] for w in range(g.n)))
             for v in range(g.n)
@@ -349,6 +350,13 @@ CHECKED_CALLS = {
 def test_public_entry_points_check_their_inputs(call, graph, chips):
     with pytest.raises(DomainError):
         call(graph, Divisor(chips))
+
+
+def test_good_firing_set_rejects_a_rankless_divisor():
+    # a caller's bad input, not a bug: DomainError, not InternalError
+    c4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(DomainError, match="positive rank"):
+        good_firing_set(c4, Divisor((1, 0, 0, 0)), frozenset({0}), frozenset({1, 2, 3}))
 
 
 @pytest.mark.parametrize("call", [is_fireable, fire_set], ids=["is_fireable", "fire_set"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from chiptree import GraphError, MultiGraph
 
-from conftest import multigraphs, random_connected_multigraph
+from conftest import laplacian, multigraphs, random_connected_multigraph
 
 
 def path(n):
@@ -35,21 +35,21 @@ class TestConstruction:
 class TestLaplacian:
     def test_single_edge(self):
         g = MultiGraph(2, [(0, 1)])
-        assert g.laplacian() == [[1, -1], [-1, 1]]
+        assert laplacian(g) == [[1, -1], [-1, 1]]
 
     def test_two_parallel_edges(self):
         g = MultiGraph(2, [(0, 1), (0, 1)])
-        assert g.laplacian() == [[2, -2], [-2, 2]]
+        assert laplacian(g) == [[2, -2], [-2, 2]]
 
     def test_triangle(self):
         g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
         expected = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-        assert g.laplacian() == expected
+        assert laplacian(g) == expected
 
     @given(multigraphs())
     @settings(max_examples=60)
     def test_symmetric_with_zero_row_sums(self, g):
-        q = g.laplacian()
+        q = laplacian(g)
         assert q == [list(col) for col in zip(*q)]
         assert all(sum(row) == 0 for row in q)
 

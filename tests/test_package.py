@@ -1,0 +1,150 @@
+"""The lazy package namespace, the slotted records and the CLI import budget."""
+
+import ast
+import copy
+import importlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chiptree
+from chiptree import Divisor, FiniteMorphism, Position, build_mss, mss_to_treedec
+from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph
+from chiptree.formats import parse_gr, write_document, write_gr, write_morphism, write_td
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def run_fresh(code, *argv, cwd=ROOT):
+    """Run ``python -c code argv`` in a fresh interpreter with this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestLazyNamespace:
+    @pytest.mark.parametrize("name", chiptree.__all__)
+    def test_name_is_its_home_module_attribute(self, name):
+        home = importlib.import_module(f"chiptree.{chiptree._HOME[name]}")
+        assert getattr(chiptree, name) is getattr(home, name)
+
+    def test_dir_lists_every_public_name_before_access(self):
+        proc = run_fresh("import chiptree; print(' '.join(dir(chiptree)))")
+        assert set(chiptree.__all__) <= set(proc.stdout.split())
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            chiptree.no_such_name  # noqa: B018
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "chiptree").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
+
+
+class TestRecords:
+    def test_frozen_record_equality_hash_and_repr(self):
+        d = Divisor((3, 0, 1))
+        assert d == Divisor((3, 0, 1)) and d != Divisor((3, 0, 0))
+        assert hash(d) == hash(Divisor((3, 0, 1)))
+        assert repr(d) == "Divisor(chips=(3, 0, 1))"
+        assert d != (3, 0, 1)
+
+    def test_frozen_record_refuses_assignment(self):
+        pos = Position(frozenset({0}), frozenset({1}))
+        with pytest.raises(AttributeError):
+            pos.searchers = frozenset()
+        with pytest.raises(AttributeError):
+            del pos.territory
+        with pytest.raises(AttributeError):
+            pos.extra = 1
+
+    def test_keyword_fields_and_wrong_fields(self):
+        f = FiniteMorphism(vertex_map=(0,), edge_map=(), index=())
+        assert f == FiniteMorphism((0,), (), ())
+        with pytest.raises(TypeError):
+            FiniteMorphism((0,), ())
+        with pytest.raises(TypeError):
+            FiniteMorphism((0,), (), (), vertex_map=(0,))
+
+    def test_mutable_records_are_unhashable_and_copy(self):
+        g, d = example_graph(), example_divisor()
+        tree = build_mss(g, d)
+        with pytest.raises(TypeError):
+            hash(tree)
+        assert copy.deepcopy(tree) == tree
+        assert pickle.loads(pickle.dumps(d)) == d
+
+
+# -- what each CLI call loads ---------------------------------------------------
+
+BASE = {"chiptree", "chiptree.cli", "chiptree.errors", "chiptree.formats",
+        "chiptree.graph", "chiptree.divisors"}
+RANK = BASE | {"chiptree.gonality"}
+MSS = RANK | {"chiptree.strategy"}
+TREEDEC = MSS | {"chiptree.treedec"}
+MORPHISM = TREEDEC | {"chiptree.morphism"}
+
+PROBE = """\
+import sys
+from chiptree.cli import main
+main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "chiptree")),
+      file=sys.stderr)
+"""
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The inputs of the benchmark's ten CLI calls."""
+    root = tmp_path_factory.mktemp("cli")
+    g, d = example_graph(), example_divisor()
+    fg, ft, ff = c4_to_p3_morphism()
+    files = {
+        "golden.ct": write_document(g, d),
+        "golden.td": write_td(mss_to_treedec(g, build_mss(g, d)), g.n),
+        "c4.gr": write_gr(fg),
+        "p3.gr": write_gr(ft),
+        "fold.map": write_morphism(ff, parse_gr(write_gr(fg)), parse_gr(write_gr(ft))),
+        "bad.gr": "p tw 3 2\n1 2\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+CALLS = {
+    "info": (["info", "--input", "golden.ct"], BASE),
+    "reduce": (["reduce", "--input", "golden.ct", "--q", "d"], BASE),
+    "dhar": (["dhar", "--input", "golden.ct", "--q", "d"], BASE),
+    "rank": (["rank", "--input", "golden.ct"], RANK),
+    "gonality": (["gonality", "--input", "golden.ct", "--max-degree", "4"], RANK),
+    "mss": (["mss", "--input", "golden.ct"], MSS),
+    "treedec": (["treedec", "--input", "golden.ct"], TREEDEC),
+    "verify-td": (["verify-td", "--input", "golden.ct", "--td", "golden.td"], TREEDEC),
+    "morphism-td": (["morphism-td", "--input", "c4.gr", "--tree", "p3.gr",
+                     "--morphism", "fold.map"], MORPHISM),
+    "malformed": (["info", "--input", "bad.gr"], BASE),
+}
+
+
+@pytest.mark.parametrize("argv, expected", CALLS.values(), ids=CALLS.keys())
+def test_cli_call_loads_only_what_it_runs(cli_files, argv, expected):
+    proc = run_fresh(PROBE, *argv, cwd=cli_files)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert loaded == expected

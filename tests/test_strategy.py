@@ -11,10 +11,11 @@ from chiptree import (
     fire_set,
     good_firing_set,
     has_positive_rank,
+    mss_to_treedec,
     validate_mss,
 )
 from chiptree import divisors, gonality
-from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT
+from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssViolation
 
 from conftest import random_connected_multigraph
 from chiptree.gonality import effective_divisors
@@ -285,6 +286,39 @@ class TestValidateMss:
         report = validate_mss(fixture_graph, tree, 3)
         assert not report.ok
         assert "searchers" in report.first().reason
+
+    @pytest.mark.parametrize("child", [99, -1])
+    def test_rejects_child_outside_the_tree(self, fixture_graph, fixture_divisor, child):
+        # 99 used to raise IndexError; -1 wrapped to the last node
+        tree = build_mss(fixture_graph, fixture_divisor)
+        tree.nodes[1].children.append(child)
+        report = validate_mss(fixture_graph, tree, 4)
+        assert report.violations == [
+            MssViolation(1, f"child {child} names a node outside 0..13")]
+
+    @pytest.mark.parametrize("parent, child", [(1, 2), (5, 0)],
+                             ids=["sibling-twice", "back-to-root"])
+    def test_rejects_child_reached_twice(self, fixture_graph, fixture_divisor,
+                                         parent, child):
+        tree = build_mss(fixture_graph, fixture_divisor)
+        tree.nodes[parent].children.append(child)
+        report = validate_mss(fixture_graph, tree, 4)
+        assert report.violations == [
+            MssViolation(parent, f"child {child} is already in the tree")]
+        with pytest.raises(DomainError):
+            mss_to_treedec(fixture_graph, tree)
+
+    def test_rejects_unreachable_node(self, fixture_graph, fixture_divisor):
+        # 11 -> 12 -> 13 becomes 11 -> 13: node 12 used to vanish from the
+        # decomposition (13 bags from 14 nodes) with the tree reported valid
+        tree = build_mss(fixture_graph, fixture_divisor)
+        assert tree.nodes[11].children == [12] and tree.nodes[12].children == [13]
+        tree.nodes[11].children = [13]
+        report = validate_mss(fixture_graph, tree, 4)
+        assert report.violations == [
+            MssViolation(None, "nodes [12] are not reachable from the root")]
+        with pytest.raises(DomainError):
+            mss_to_treedec(fixture_graph, tree)
 
 
 def test_dot_export_mentions_every_position(fixture_graph, fixture_divisor):
