@@ -175,61 +175,69 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
 # -- unchecked kernels ---------------------------------------------------------
 # Callers have checked that the chips are effective and match the graph, and
 # that the graph is connected and every vertex argument lies in 0..n-1;
-# ``adj`` is ``MultiGraph._adj``, read only.
+# ``adj`` is ``MultiGraph._adj``, one tuple of (neighbour, multiplicity)
+# pairs per vertex, read only.
 
 _NOTHING_UNBURNT: frozenset[int] = frozenset()
 
-def _dhar(adj: list[dict[int, int]], chips: Sequence[int],
+def _dhar(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
           q: int) -> tuple[AbstractSet[int], list[int]]:
-    """Unburnt set U of Dhar's burning from q, and the out-degrees into the fire.
+    """Unburnt set U of Dhar's burning from q, and the room of each vertex.
 
-    A vertex burns once more edges join it to burnt vertices than it holds
-    chips; the fire spreads from each vertex once, so the burn is O(|E|).
-    For v in U, ``outdeg[v]`` is outdeg_U(v).  U is read only.
+    ``room[v]`` is chips(v) minus the edges from v into the fire; v burns
+    when its room goes negative, and the fire spreads from each vertex
+    once, so the burn is O(|E|).  For v in U, chips(v) - room[v] is
+    outdeg_U(v).  U is read only.
     """
-    n = len(chips)
-    burnt = [False] * n
-    burnt[q] = True
-    outdeg = [0] * n
-    fire = [q]
-    while fire:
-        for w, m in adj[fire.pop()].items():
-            if not burnt[w]:
-                out = outdeg[w] + m
-                outdeg[w] = out
-                if out > chips[w]:
-                    burnt[w] = True
-                    fire.append(w)
-    if False not in burnt:
-        return _NOTHING_UNBURNT, outdeg
-    return {v for v in range(n) if not burnt[v]}, outdeg
+    room = list(chips)
+    room[q] = -1
+    burnt = [q]
+    for v in burnt:
+        for w, m in adj[v]:
+            left = room[w]
+            if left >= 0:
+                left -= m
+                room[w] = left
+                if left < 0:
+                    burnt.append(w)
+    if len(burnt) == len(room):
+        return _NOTHING_UNBURNT, room
+    return {v for v, left in enumerate(room) if left >= 0}, room
 
 
-def _fire(adj: list[dict[int, int]], chips: list[int], u, times: int) -> None:
-    """Fire the set u ``times`` times, in place; legality is the caller's."""
+def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u, times: int,
+          covered: Optional[list[bool]] = None) -> None:
+    """Fire the set u ``times`` times, in place; legality is the caller's.
+
+    With ``covered``, every vertex that receives chips is marked in it.
+    """
     for v in u:
-        for w, m in adj[v].items():
+        for w, m in adj[v]:
             if w not in u:
                 chips[v] -= m * times
                 chips[w] += m * times
+                if covered is not None:
+                    covered[w] = True
 
 
-def _reduce(adj: list[dict[int, int]], chips: list[int], q: int,
-            x: Optional[list[int]] = None, until_chip_on_q: bool = False) -> None:
+def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
+            x: Optional[list[int]] = None, until_chip_on_q: bool = False,
+            covered: Optional[list[bool]] = None) -> None:
     """q-reduce chips in place with batched Dhar firings; add the script to x.
 
     With ``until_chip_on_q`` it returns as soon as q holds a chip: q never
     fires, so its count only grows and the reduced divisor keeps that chip.
+    ``covered`` is passed on to ``_fire``.
     """
     bound = max(1, sum(chips) * len(chips))
     for _ in range(bound + 1):
         if until_chip_on_q and chips[q]:
             return
-        u, outdeg = _dhar(adj, chips, q)
+        u, room = _dhar(adj, chips, q)
         if not u:
             return
-        times = min(chips[v] // outdeg[v] for v in u if outdeg[v])
-        _fire(adj, chips, u, times)
+        times = min(chips[v] // (chips[v] - room[v]) for v in u if chips[v] != room[v])
+        _fire(adj, chips, u, times, covered)
         if x is not None:
             for v in u:
                 x[v] += times

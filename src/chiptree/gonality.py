@@ -20,9 +20,11 @@ class GonalityResult(FrozenRecord):
 def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     """True iff the q-reduced form of d has a chip on q, for every vertex q.
 
-    q never fires while d is q-reduced, so the chips on q only grow. A q
-    that already holds a chip therefore passes without a reduction, and a
-    reduction stops as soon as q receives a chip.
+    q never fires while d is q-reduced, so the chips on q only grow, and a
+    reduction stops as soon as q receives a chip.  Every divisor a legal
+    reduction passes through is effective and equivalent to d, so a q that
+    holds a chip in d, or received one in an earlier reduction of this
+    test, passes without a reduction of its own.
 
     The immutable graph remembers the last divisor it accepted, so the
     usual "test, then ``build_mss``" sequence reduces only once.  One entry
@@ -32,11 +34,12 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     _require_connected(g)
     if g._positive_rank == d.chips:
         return True
+    covered = [c > 0 for c in d.chips]
     for q in range(g.n):
-        if d[q]:
+        if covered[q]:
             continue
         chips = list(d.chips)
-        _reduce(g._adj, chips, q, until_chip_on_q=True)
+        _reduce(g._adj, chips, q, until_chip_on_q=True, covered=covered)
         if not chips[q]:
             return False
     g._positive_rank = d.chips

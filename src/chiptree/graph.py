@@ -18,14 +18,21 @@ VertexSet = frozenset
 
 class Record:
     """Base of the package's records: the fields are the ``__slots__``, equal
-    field by field within one class and shown by repr.  Hot records define
-    their own ``__init__``; this one takes the fields by position or keyword."""
+    field by field within one class and shown by repr.  A slot whose name
+    starts with an underscore is private state, outside equality, repr and
+    pickle.  Hot records define their own ``__init__``; this one takes the
+    fields by position or keyword."""
 
     __slots__ = ()
     __hash__ = None
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
     def __init__(self, *args, **kwargs):
-        fields = self.__slots__
+        fields = self._fields
         values = dict(zip(fields, args), **kwargs)
         if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
@@ -33,7 +40,7 @@ class Record:
             object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -41,7 +48,7 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -83,11 +90,12 @@ class MultiGraph:
             key = (u, v) if u < v else (v, u)
             mult[key] = mult.get(key, 0) + 1
         self._mult = dict(sorted(mult.items()))
-        adj: list[dict[int, int]] = [dict() for _ in range(n)]
+        # per vertex, its (neighbour, multiplicity) pairs by ascending neighbour
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (u, v), m in self._mult.items():
-            adj[u][v] = m
-            adj[v][u] = m
-        self._adj = adj
+            adj[u].append((v, m))
+            adj[v].append((u, m))
+        self._adj = [tuple(pairs) for pairs in adj]
         # one-entry memos: connectivity, and the last divisor that
         # ``gonality.has_positive_rank`` accepted
         self._connected: Optional[bool] = None
@@ -131,10 +139,10 @@ class MultiGraph:
         return dict(self._adj[v])
 
     def degree(self, v: int) -> int:
-        return sum(self._adj[v].values())
+        return sum(m for _, m in self._adj[v])
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._adj[u].get(v, 0)
+        return self._mult.get((u, v) if u < v else (v, u), 0)
 
     def vertex_index(self, name) -> int:
         """Resolve a label or integer-like token to a vertex index."""
@@ -172,19 +180,19 @@ class MultiGraph:
         uset = u if isinstance(u, (set, frozenset)) else frozenset(u)
         if v not in uset:
             raise GraphError(f"outdeg requires v in U, got v={v}")
-        return sum(m for w, m in self._adj[v].items() if w not in uset)
+        return sum(m for w, m in self._adj[v] if w not in uset)
 
     def neighbors_in(self, v: int, r: Iterable[int]) -> VertexSet:
         """Vertices of r adjacent to v."""
         rset = r if isinstance(r, (set, frozenset)) else frozenset(r)
-        return frozenset(w for w in self._adj[v] if w in rset)
+        return frozenset(w for w, _ in self._adj[v] if w in rset)
 
     def neighborhood(self, u: Iterable[int]) -> VertexSet:
         """N(U): vertices outside u with a neighbor in u."""
         uset = frozenset(u)
         out = set()
         for v in uset:
-            for w in self._adj[v]:
+            for w, _ in self._adj[v]:
                 if w not in uset:
                     out.add(w)
         return frozenset(out)
@@ -202,7 +210,7 @@ class MultiGraph:
             queue = deque([start])
             while queue:
                 v = queue.popleft()
-                for w in self._adj[v]:
+                for w, _ in self._adj[v]:
                     if w not in seen:
                         seen.add(w)
                         comp.add(w)
@@ -235,7 +243,7 @@ class MultiGraph:
             seen.add(start)
             comp = [start]
             for v in comp:
-                for w in adj[v]:
+                for w, _ in adj[v]:
                     if w not in seen:
                         if w not in rset:
                             raise GraphError("r is not a union of X-flaps")

@@ -10,7 +10,7 @@ and advancing into the territory along a fireable set.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from .divisors import Divisor, _dhar, _fire, _require_vertices
 from .errors import DomainError, GraphError, InternalError
@@ -37,22 +37,30 @@ class Position(FrozenRecord):
         return f"{g.set_name(self.searchers)} | {g.set_name(self.territory)}"
 
 
-class MssNode(Record):
+class MssNode(FrozenRecord):
     __slots__ = ("position", "move", "parent", "children")
 
     def __init__(self, position: Position, move: str = LEAF,
-                 parent: Optional[int] = None, children: Optional[list[int]] = None):
-        self.position, self.move, self.parent = position, move, parent
-        self.children = [] if children is None else children
+                 parent: Optional[int] = None, children: Iterable[int] = ()):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "children", tuple(children))
 
 
-class MssTree(Record):
-    """Rooted strategy tree; node 0 is the root (empty X, full territory)."""
+class MssTree(FrozenRecord):
+    """Rooted strategy tree; node 0 is the root (empty X, full territory).
 
-    __slots__ = ("nodes", "searchers")
+    ``_built_for`` is the graph ``build_mss`` built the tree for, and None
+    on every tree made any other way, copies and unpickled trees included.
+    """
 
-    def __init__(self, nodes: list[MssNode], searchers: int):
-        self.nodes, self.searchers = nodes, searchers
+    __slots__ = ("nodes", "searchers", "_built_for")
+
+    def __init__(self, nodes: Iterable[MssNode], searchers: int):
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "searchers", searchers)
+        object.__setattr__(self, "_built_for", None)
 
     @property
     def root(self) -> int:
@@ -145,16 +153,22 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
 
     k = d.degree
     everything = frozenset(range(g.n))
-    root_pos = Position(frozenset(), everything)
     supp = d.support
     first = Position(supp, everything - supp)
 
-    tree = MssTree(nodes=[MssNode(root_pos, move=ROOT)], searchers=k + 1)
+    # node fields as plain lists; each MssNode is made once, at the end
+    positions = [Position(frozenset(), everything)]
+    moves = [ROOT]
+    parents: list[Optional[int]] = [None]
+    children: list[list[int]] = [[]]
 
     def add_node(parent: int, pos: Position, move: str) -> int:
-        idx = len(tree.nodes)
-        tree.nodes.append(MssNode(pos, move=move, parent=parent))
-        tree.nodes[parent].children.append(idx)
+        idx = len(positions)
+        positions.append(pos)
+        moves.append(move)
+        parents.append(parent)
+        children.append([])
+        children[parent].append(idx)
         return idx
 
     # open positions with the chips of an effective D, X <= supp(D) and R
@@ -171,7 +185,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         if rounds > max_rounds:
             raise InternalError("construction exceeded the n^2 node bound")
         i, chips_cur = pending.popleft()
-        pos = tree.nodes[i].position
+        pos = positions[i]
         x, r = pos.searchers, pos.territory
         flaps = g.flaps_within(x, r)
 
@@ -213,6 +227,8 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         if prev_r:
             pending.append((parent, tuple(chips)))
 
+    tree = MssTree(map(MssNode, positions, moves, parents, children), k + 1)
+    object.__setattr__(tree, "_built_for", g)
     return tree
 
 
@@ -233,20 +249,21 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         return MssReport(False, [MssViolation(None, "empty tree")])
 
     # before any check reads a node, walk from the root: every child index
-    # names a node, no node is reached twice and every node is reached
+    # names a node, no node is reached twice and every node is reached;
+    # the walk also learns each node's parent
     size = len(tree.nodes)
-    walk, reached = [0], [True] + [False] * (size - 1)
+    walk, parent_of = [0], [None] * size
     for i in walk:
         for c in tree.nodes[i].children:
             if not (isinstance(c, int) and 0 <= c < size):
                 bad(i, f"child {c!r} names a node outside 0..{size - 1}")
-            elif reached[c]:
+            elif c == 0 or parent_of[c] is not None:
                 bad(i, f"child {c} is already in the tree")
             else:
-                reached[c] = True
+                parent_of[c] = i
                 walk.append(c)
     if len(walk) < size:
-        unreached = [i for i in range(size) if not reached[i]]
+        unreached = [i for i in range(1, size) if parent_of[i] is None]
         bad(None, f"nodes {unreached} are not reachable from the root")
     if violations:
         return MssReport(False, violations)
@@ -258,6 +275,8 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
     for i, node in enumerate(tree.nodes):
+        if node.parent != parent_of[i]:
+            bad(i, f"parent field is {node.parent!r}, not {parent_of[i]!r}")
         x, r = node.position.searchers, node.position.territory
         if not x.isdisjoint(r):
             bad(i, "searchers and territory overlap")

@@ -127,11 +127,14 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
 def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
     """Forget orientation and territories: the searcher sets become bags.
 
-    Bag ids follow a deterministic preorder of the strategy tree.
+    Bag ids follow a deterministic preorder of the strategy tree.  A frozen
+    tree that ``build_mss`` returned for this same graph object is valid by
+    construction; every other tree is checked with ``validate_mss`` first.
     """
-    report = validate_mss(g, tree, tree.searchers)
-    if not report.ok:
-        raise DomainError(f"invalid search strategy: {report.first().reason}")
+    if tree._built_for is not g:
+        report = validate_mss(g, tree, tree.searchers)
+        if not report.ok:
+            raise DomainError(f"invalid search strategy: {report.first().reason}")
     order = []
     stack = [tree.root]
     while stack:
@@ -160,7 +163,7 @@ def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
         raise BudgetError(f"treewidth oracle capped at n={budget}, got n={n}")
     if n == 0:
         raise DomainError("treewidth of the empty graph is undefined")
-    nbr = [sum(1 << w for w in g._adj[v]) for v in range(n)]
+    nbr = [sum(1 << w for w, _ in g._adj[v]) for v in range(n)]
     full = (1 << n) - 1
 
     def back_degree(eliminated: int, v: int) -> int:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chiptree import Divisor, MultiGraph, fire_set, is_fireable
 from chiptree.fixtures import example_divisor, example_graph
+from chiptree.strategy import MssNode, MssTree
 
 
 @pytest.fixture
@@ -25,6 +26,18 @@ def fixture_graph():
 @pytest.fixture
 def fixture_divisor(fixture_graph):
     return example_divisor(fixture_graph)
+
+
+def edit_node(tree: MssTree, i: int, **fields) -> MssTree:
+    """A copy of a frozen strategy tree with the named fields of node i
+    replaced, e.g. ``edit_node(tree, 1, children=(2, 99))``."""
+    node = tree.nodes[i]
+    values = {name: getattr(node, name)
+              for name in ("position", "move", "parent", "children")}
+    values.update(fields)
+    nodes = list(tree.nodes)
+    nodes[i] = MssNode(**values)
+    return MssTree(nodes, tree.searchers)
 
 
 def random_connected_multigraph(rng: random.Random, n: int,

@@ -11,6 +11,7 @@ from chiptree import (
     effective_divisors,
     has_positive_rank,
 )
+from chiptree import gonality
 from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
 from chiptree.gonality import _lex_ascending
 
@@ -51,6 +52,28 @@ class TestPositiveRank:
                 chips[rng.randrange(g.n)] += 1
             d = Divisor(tuple(chips))
             assert has_positive_rank(g, d) == rank_oracle(g, d)
+
+
+def test_rank_test_skips_every_vertex_that_received_a_chip(monkeypatch):
+    """Operation-count guard on the 20 x 20 grid with one chip per row: a
+    vertex that receives a chip during one reduction needs no reduction of
+    its own.  Without that marking the test runs one reduction per chipless
+    vertex, 380 here; with it, 19."""
+    k = 20
+    edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    edges += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    g = MultiGraph(k * k, edges)
+    d = Divisor(tuple(1 if v % k == 0 else 0 for v in range(k * k)))
+    calls = [0]
+    reduce = gonality._reduce
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(gonality, "_reduce", counting)
+    assert has_positive_rank(g, d)
+    assert calls[0] <= 2 * k
 
 
 class TestEnumeration:

@@ -17,7 +17,7 @@ from chiptree import (
 from chiptree import divisors, gonality
 from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssViolation
 
-from conftest import random_connected_multigraph
+from conftest import edit_node, random_connected_multigraph
 from chiptree.gonality import effective_divisors
 
 # Positions of the golden strategy tree for the 7-vertex example, as
@@ -262,10 +262,8 @@ class TestValidateMss:
     def test_rejects_incomplete_leaf(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
         # chop off a subtree: the split node at (bc, defg) keeps one child
-        for node in tree.nodes:
-            if len(node.children) > 1:
-                node.children.pop()
-                break
+        i = next(i for i, node in enumerate(tree.nodes) if len(node.children) > 1)
+        tree = edit_node(tree, i, children=tree.nodes[i].children[:-1])
         report = validate_mss(fixture_graph, tree, 4)
         assert not report.ok
 
@@ -291,7 +289,7 @@ class TestValidateMss:
     def test_rejects_child_outside_the_tree(self, fixture_graph, fixture_divisor, child):
         # 99 used to raise IndexError; -1 wrapped to the last node
         tree = build_mss(fixture_graph, fixture_divisor)
-        tree.nodes[1].children.append(child)
+        tree = edit_node(tree, 1, children=tree.nodes[1].children + (child,))
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
             MssViolation(1, f"child {child} names a node outside 0..13")]
@@ -301,7 +299,7 @@ class TestValidateMss:
     def test_rejects_child_reached_twice(self, fixture_graph, fixture_divisor,
                                          parent, child):
         tree = build_mss(fixture_graph, fixture_divisor)
-        tree.nodes[parent].children.append(child)
+        tree = edit_node(tree, parent, children=tree.nodes[parent].children + (child,))
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
             MssViolation(parent, f"child {child} is already in the tree")]
@@ -312,11 +310,25 @@ class TestValidateMss:
         # 11 -> 12 -> 13 becomes 11 -> 13: node 12 used to vanish from the
         # decomposition (13 bags from 14 nodes) with the tree reported valid
         tree = build_mss(fixture_graph, fixture_divisor)
-        assert tree.nodes[11].children == [12] and tree.nodes[12].children == [13]
-        tree.nodes[11].children = [13]
+        assert tree.nodes[11].children == (12,) and tree.nodes[12].children == (13,)
+        tree = edit_node(tree, 11, children=(13,))
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
             MssViolation(None, "nodes [12] are not reachable from the root")]
+        with pytest.raises(DomainError):
+            mss_to_treedec(fixture_graph, tree)
+
+    @pytest.mark.parametrize("node, parent, true_parent",
+                             [(5, 0, 3), (2, 9, 1), (0, 3, None)],
+                             ids=["sibling", "outside", "root"])
+    def test_rejects_wrong_parent_field(self, fixture_graph, fixture_divisor,
+                                        node, parent, true_parent):
+        tree = build_mss(fixture_graph, fixture_divisor)
+        assert tree.nodes[node].parent == true_parent
+        tree = edit_node(tree, node, parent=parent)
+        report = validate_mss(fixture_graph, tree, 4)
+        assert report.violations == [
+            MssViolation(node, f"parent field is {parent}, not {true_parent}")]
         with pytest.raises(DomainError):
             mss_to_treedec(fixture_graph, tree)
 

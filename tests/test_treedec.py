@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import networkx as nx
@@ -20,10 +22,13 @@ from chiptree import (
     treewidth_bruteforce,
     validate_treedec,
 )
+from chiptree import treedec
 from chiptree.fixtures import banana_graph, cycle_graph, path_graph
 from chiptree.gonality import effective_divisors
+from chiptree.strategy import MssTree
 
 from conftest import (
+    edit_node,
     multigraphs,
     random_connected_multigraph,
     random_refinement,
@@ -138,6 +143,70 @@ def test_one_pass_validation_matches_bag_scans_on_corruptions():
     assert all(rejected.values()), rejected
 
 
+class TestTrustedStrategy:
+    """``mss_to_treedec`` trusts exactly the trees ``build_mss`` returned
+    for the same graph object, and validates every other tree once."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = [0]
+        validate = treedec.validate_mss
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(treedec, "validate_mss", counting)
+        return calls
+
+    def test_built_tree_with_its_own_graph_is_not_revalidated(
+            self, fixture_graph, fixture_divisor, validations):
+        tree = build_mss(fixture_graph, fixture_divisor)
+        td = mss_to_treedec(fixture_graph, tree)
+        assert validations[0] == 0
+        assert validate_treedec(fixture_graph, td).ok
+
+    @pytest.mark.parametrize("other", ["equal-graph", "deepcopy", "pickle", "hand-built"])
+    def test_every_other_tree_is_validated_once(self, fixture_graph, fixture_divisor,
+                                                validations, other):
+        g = fixture_graph
+        tree = build_mss(g, fixture_divisor)
+        trusted = mss_to_treedec(g, tree)
+        if other == "equal-graph":
+            g = MultiGraph(g.n, g.edge_list, g.labels)
+            assert g == fixture_graph and g is not fixture_graph
+        elif other == "deepcopy":
+            tree = copy.deepcopy(tree)
+        elif other == "pickle":
+            tree = pickle.loads(pickle.dumps(tree))
+        else:
+            tree = MssTree(tree.nodes, tree.searchers)
+        assert tree == build_mss(fixture_graph, fixture_divisor)
+        assert mss_to_treedec(g, tree) == trusted
+        assert validations[0] == 1
+
+    def test_built_tree_is_frozen(self, fixture_graph, fixture_divisor):
+        tree = build_mss(fixture_graph, fixture_divisor)
+        with pytest.raises(AttributeError):
+            tree.nodes = ()
+        with pytest.raises(AttributeError):
+            tree.nodes[3].children = (4,)
+        with pytest.raises(AttributeError):
+            tree.nodes[5].parent = 0
+        assert isinstance(tree.nodes, tuple)
+        assert all(isinstance(node.children, tuple) for node in tree.nodes)
+
+    def test_the_mark_is_outside_equality_repr_and_pickle(self, fixture_graph,
+                                                          fixture_divisor):
+        tree = build_mss(fixture_graph, fixture_divisor)
+        copied = pickle.loads(pickle.dumps(tree))
+        assert copied == tree and hash(copied) == hash(tree)
+        assert repr(copied) == repr(tree)
+        assert "_built_for" not in repr(tree)
+        with pytest.raises(TypeError):
+            MssTree(tree.nodes, tree.searchers, fixture_graph)
+
+
 class TestMssToTreedec:
     def test_single_vertex(self):
         g = MultiGraph(1, [])
@@ -162,10 +231,8 @@ class TestMssToTreedec:
 
     def test_rejects_broken_strategy(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
-        for node in tree.nodes:
-            if len(node.children) > 1:
-                node.children.pop()
-                break
+        i = next(i for i, node in enumerate(tree.nodes) if len(node.children) > 1)
+        tree = edit_node(tree, i, children=tree.nodes[i].children[:-1])
         with pytest.raises(DomainError):
             mss_to_treedec(fixture_graph, tree)
 
