@@ -88,10 +88,11 @@ class FiringScript(FrozenRecord):
 
 def _require_divisor(g: MultiGraph, d: Divisor) -> None:
     """The one divisor check: d has a chip count for every vertex, none negative."""
-    if len(d) != g.n:
-        raise DomainError(f"divisor length {len(d)} does not match n={g.n}")
-    if not d.is_effective:
-        raise DomainError(f"divisor must be effective, got chips {d.chips}")
+    chips = d.chips
+    if len(chips) != g.n:
+        raise DomainError(f"divisor length {len(chips)} does not match n={g.n}")
+    if min(chips, default=0) < 0:
+        raise DomainError(f"divisor must be effective, got chips {chips}")
 
 
 def _require_connected(g: MultiGraph) -> None:
@@ -146,7 +147,7 @@ def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
     _require_divisor(g, d)
     _require_connected(g)
     _require_vertices(g, (q,), "q")
-    return frozenset(_dhar(g._adj, d.chips, q)[0])
+    return frozenset(_dhar(g._adj, d.chips, q))
 
 
 def is_q_reduced(g: MultiGraph, d: Divisor, q: int) -> bool:
@@ -181,13 +182,12 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
 _NOTHING_UNBURNT: frozenset[int] = frozenset()
 
 def _dhar(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
-          q: int) -> tuple[AbstractSet[int], list[int]]:
-    """Unburnt set U of Dhar's burning from q, and the room of each vertex.
+          q: int) -> AbstractSet[int]:
+    """Unburnt set U of Dhar's burning from q; read only.
 
     ``room[v]`` is chips(v) minus the edges from v into the fire; v burns
     when its room goes negative, and the fire spreads from each vertex
-    once, so the burn is O(|E|).  For v in U, chips(v) - room[v] is
-    outdeg_U(v).  U is read only.
+    once, so the burn is O(|E|).
     """
     room = list(chips)
     room[q] = -1
@@ -201,23 +201,18 @@ def _dhar(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
                 if left < 0:
                     burnt.append(w)
     if len(burnt) == len(room):
-        return _NOTHING_UNBURNT, room
-    return {v for v, left in enumerate(room) if left >= 0}, room
+        return _NOTHING_UNBURNT
+    return {v for v, left in enumerate(room) if left >= 0}
 
 
-def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u, times: int,
-          covered: Optional[list[bool]] = None) -> None:
-    """Fire the set u ``times`` times, in place; legality is the caller's.
-
-    With ``covered``, every vertex that receives chips is marked in it.
-    """
+def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u,
+          times: int) -> None:
+    """Fire the set u ``times`` times, in place; legality is the caller's."""
     for v in u:
         for w, m in adj[v]:
             if w not in u:
                 chips[v] -= m * times
                 chips[w] += m * times
-                if covered is not None:
-                    covered[w] = True
 
 
 def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
@@ -225,22 +220,48 @@ def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
             covered: Optional[list[bool]] = None) -> None:
     """q-reduce chips in place with batched Dhar firings; add the script to x.
 
+    Each round burns from q as ``_dhar`` does and fires the unburnt set U
+    in the same loop: v is in U iff ``room[v] >= 0``, and then
+    outdeg_U(v) = chips(v) - room(v), so U is never built as a set.
     With ``until_chip_on_q`` it returns as soon as q holds a chip: q never
     fires, so its count only grows and the reduced divisor keeps that chip.
-    ``covered`` is passed on to ``_fire``.
+    With ``covered``, every vertex that receives chips is marked in it.
     """
-    bound = max(1, sum(chips) * len(chips))
+    n = len(chips)
+    degree = sum(chips)
+    bound = max(1, degree * n)
     for _ in range(bound + 1):
         if until_chip_on_q and chips[q]:
             return
-        u, room = _dhar(adj, chips, q)
-        if not u:
+        room = chips[:]
+        room[q] = -1
+        burnt = [q]
+        for v in burnt:
+            for w, m in adj[v]:
+                left = room[w]
+                if left >= 0:
+                    left -= m
+                    room[w] = left
+                    if left < 0:
+                        burnt.append(w)
+        if len(burnt) == n:
             return
-        times = min(chips[v] // (chips[v] - room[v]) for v in u if chips[v] != room[v])
-        _fire(adj, chips, u, times, covered)
-        if x is not None:
-            for v in u:
-                x[v] += times
+        # fire U as often as stays legal: the least chips(v) // outdeg_U(v)
+        # over v in U with outdeg_U(v) > 0, which is at most deg(d)
+        times = degree
+        for c, left in zip(chips, room):
+            if c > left >= 0 and c // (c - left) < times:
+                times = c // (c - left)
+        for v, left in enumerate(room):
+            if left >= 0:
+                chips[v] -= (chips[v] - left) * times
+                if x is not None:
+                    x[v] += times
+                for w, m in adj[v]:
+                    if room[w] < 0:
+                        chips[w] += m * times
+                        if covered is not None:
+                            covered[w] = True
     raise InternalError(
         f"q_reduce did not converge within {bound} iterations; this is a bug"
     )

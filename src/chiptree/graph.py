@@ -56,9 +56,18 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A hashable record whose fields cannot be assigned after ``__init__``."""
+    """A hashable record whose fields cannot be assigned after ``__init__``.
+
+    ``_setters`` holds the slot setters in ``__slots__`` order, captured
+    once per class, for the ``__init__`` of records made in hot loops.
+    """
 
     __slots__ = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen; cannot set {name!r}")

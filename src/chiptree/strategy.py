@@ -30,8 +30,9 @@ class Position(FrozenRecord):
     __slots__ = ("searchers", "territory")   # X and R
 
     def __init__(self, searchers: VertexSet, territory: VertexSet):
-        object.__setattr__(self, "searchers", searchers)
-        object.__setattr__(self, "territory", territory)
+        set_searchers, set_territory = self._setters
+        set_searchers(self, searchers)
+        set_territory(self, territory)
 
     def label(self, g: MultiGraph) -> str:
         return f"{g.set_name(self.searchers)} | {g.set_name(self.territory)}"
@@ -42,10 +43,11 @@ class MssNode(FrozenRecord):
 
     def __init__(self, position: Position, move: str = LEAF,
                  parent: Optional[int] = None, children: Iterable[int] = ()):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "move", move)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "children", tuple(children))
+        set_position, set_move, set_parent, set_children = self._setters
+        set_position(self, position)
+        set_move(self, move)
+        set_parent(self, parent)
+        set_children(self, tuple(children))
 
 
 class MssTree(FrozenRecord):
@@ -113,7 +115,7 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
     return Divisor(tuple(chips)), frozenset(u)
 
 
-def _good_firing_set(adj: list[dict[int, int]], chips: list[int],
+def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
                      x: VertexSet, r: VertexSet) -> set[int]:
     """Unchecked kernel of ``good_firing_set``: advance chips in place to d''
     and return its fireable set U.
@@ -125,7 +127,7 @@ def _good_firing_set(adj: list[dict[int, int]], chips: list[int],
     q = min(r)
     bound = max(1, sum(chips) * len(chips))
     for _ in range(bound + 1):
-        u, _ = _dhar(adj, chips, q)
+        u = _dhar(adj, chips, q)
         if not u:
             raise InternalError(
                 "Dhar returned the empty set during good_firing_set; "
@@ -172,11 +174,14 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         return idx
 
     # open positions with the chips of an effective D, X <= supp(D) and R
-    # disjoint from supp(D); tuples, so that split siblings can share them
-    pending: deque[tuple[int, tuple[int, ...]]] = deque()
+    # disjoint from supp(D), and the first construction step that may
+    # apply; tuples, so that split siblings can share them.  A split child's
+    # R is one X-flap, so step I cannot apply to it; a step-II child's R is
+    # one flap of G - N(R) and its X is N(R), so it goes straight to step III.
+    pending: deque[tuple[int, tuple[int, ...], int]] = deque()
     first_idx = add_node(0, first, GROW)
     if first.territory:
-        pending.append((first_idx, d.chips))
+        pending.append((first_idx, d.chips, 1))
 
     rounds = 0
     max_rounds = g.n * g.n + 1
@@ -184,28 +189,30 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         rounds += 1
         if rounds > max_rounds:
             raise InternalError("construction exceeded the n^2 node bound")
-        i, chips_cur = pending.popleft()
+        i, chips_cur, step = pending.popleft()
         pos = positions[i]
         x, r = pos.searchers, pos.territory
-        flaps = g.flaps_within(x, r)
 
-        if len(flaps) >= 2:
-            # step I: split the territory into its flaps
-            if trace is not None:
-                trace.append(("I", pos, flaps))
-            for flap in flaps:
-                child = add_node(i, Position(x, flap), SPLIT)
-                pending.append((child, chips_cur))
-            continue
+        if step == 1:
+            flaps = g.flaps_within(x, r)
+            if len(flaps) >= 2:
+                # step I: split the territory into its flaps
+                if trace is not None:
+                    trace.append(("I", pos, flaps))
+                for flap in flaps:
+                    child = add_node(i, Position(x, flap), SPLIT)
+                    pending.append((child, chips_cur, 2))
+                continue
 
-        nr = g.neighborhood(r)
-        if nr < x:
-            # step II: retract searchers not bordering the territory
-            if trace is not None:
-                trace.append(("II", pos, nr))
-            child = add_node(i, Position(nr, r), SHRINK)
-            pending.append((child, chips_cur))
-            continue
+        if step <= 2:
+            nr = g.neighborhood(r)
+            if nr < x:
+                # step II: retract searchers not bordering the territory
+                if trace is not None:
+                    trace.append(("II", pos, nr))
+                child = add_node(i, Position(nr, r), SHRINK)
+                pending.append((child, chips_cur, 3))
+                continue
 
         # step III: N(R) = X and R is a single flap; advance along a firing set
         chips = list(chips_cur)
@@ -225,7 +232,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             prev_x, prev_r = xi_prime, ri
         _fire(g._adj, chips, u, 1)
         if prev_r:
-            pending.append((parent, tuple(chips)))
+            pending.append((parent, tuple(chips), 1))
 
     tree = MssTree(map(MssNode, positions, moves, parents, children), k + 1)
     object.__setattr__(tree, "_built_for", g)

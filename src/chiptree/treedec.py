@@ -52,7 +52,8 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     """Check the three decomposition conditions plus tree shape.
 
     One pass over the bags indexes, for each vertex, the bags holding it;
-    conditions 1-3 then read that index instead of scanning the bags again.
+    conditions 1-3 then read that index instead of scanning the bags again,
+    and on a tree condition 3 only counts bags and shared tree edges.
     """
     violations = []
     b = len(td.bags)
@@ -76,6 +77,7 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     adj = td.neighbors()
 
     # tree shape: connected and acyclic
+    is_tree = False
     if len(td.tree_edges) != b - 1:
         violations.append(
             f"{len(td.tree_edges)} tree edges on {b} bags is not a tree"
@@ -89,7 +91,8 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        if len(seen) != b:
+        is_tree = len(seen) == b
+        if not is_tree:
             violations.append("bag tree is disconnected")
 
     # condition 1: bags cover all vertices
@@ -104,7 +107,20 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
         if holding[u].isdisjoint(holding[v]):
             violations.append(f"condition 2: edge ({u},{v}) in no bag")
 
-    # condition 3: per-vertex bag sets induce subtrees
+    # condition 3: per-vertex bag sets induce subtrees.  In a tree, a set
+    # of k nodes induces a subtree iff k - 1 tree edges join two of them,
+    # so on a tree it is enough to count, per vertex, the edges whose two
+    # bags share it; any other bag graph gets a search per vertex.
+    if is_tree:
+        bags = td.bags
+        shared: dict[int, int] = {}
+        for i, j in td.tree_edges:
+            for v in bags[i] & bags[j]:
+                shared[v] = shared.get(v, 0) + 1
+        for v in range(n):
+            if holding[v] and shared.get(v, 0) != len(holding[v]) - 1:
+                violations.append(f"condition 3 at vertex {v}")
+        return TdReport(not violations, td.width, violations)
     for v in range(n):
         node_set = holding[v]
         if not node_set:
@@ -153,17 +169,88 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
 
 def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
                          budget: int = 10) -> Optional[int]:
-    """Exact treewidth by dynamic programming over elimination prefixes.
+    """Exact treewidth of the underlying simple graph.
 
-    Works on the underlying simple graph; hard-capped at ``budget`` vertices.
-    Returns None if the treewidth exceeds ``max_width``.
+    Hard-capped at ``budget`` vertices.  Returns None if the treewidth
+    exceeds ``max_width``.  The minor-min-width lower bound (Bodlaender and
+    Koster, "Treewidth computations II. Lower bounds", Inf. Comput. 2011)
+    and the width of the min-degree elimination order bound it from both
+    sides; where they meet that is the answer, and only otherwise does a
+    dynamic program over elimination prefixes decide.
     """
     n = g.n
     if n > budget:
         raise BudgetError(f"treewidth oracle capped at n={budget}, got n={n}")
     if n == 0:
         raise DomainError("treewidth of the empty graph is undefined")
-    nbr = [sum(1 << w for w, _ in g._adj[v]) for v in range(n)]
+    nbr = _neighbour_masks(g)
+    tw = _minor_min_width(nbr)
+    if tw != _min_degree_order(nbr)[1]:
+        tw = _treewidth_dp(nbr)
+    if max_width is not None and tw > max_width:
+        return None
+    return tw
+
+
+def _neighbour_masks(g: MultiGraph) -> list[int]:
+    """Per vertex, the bitmask of its neighbours in the simple graph."""
+    return [sum(1 << w for w, _ in pairs) for pairs in g._adj]
+
+
+def _minor_min_width(nbr: list[int]) -> int:
+    """Minor-min-width: a lower bound on the treewidth of the simple graph
+    with neighbour bitmasks ``nbr``.
+
+    Treewidth is at least the minimum degree and never grows under taking
+    minors.  So record the minimum degree, contract a vertex of minimum
+    degree into its neighbour of minimum degree (or delete it if it is
+    isolated), and repeat; ties go to the smaller vertex.
+    """
+    work = list(nbr)
+    alive = set(range(len(work)))
+    lb = 0
+    while len(alive) > 1:
+        v = min(alive, key=lambda a: (work[a].bit_count(), a))
+        around = work[v]
+        lb = max(lb, around.bit_count())
+        alive.discard(v)
+        if not around:
+            continue
+        u = min((a for a in alive if around >> a & 1),
+                key=lambda a: (work[a].bit_count(), a))
+        v_bit, u_bit = 1 << v, 1 << u
+        for a in alive:
+            if around >> a & 1:
+                work[a] = work[a] & ~v_bit | u_bit
+        work[u] = (work[u] | around) & ~(u_bit | v_bit)
+    return lb
+
+
+def _min_degree_order(nbr: list[int]) -> tuple[list[int], int]:
+    """The min-degree elimination order (ties to the smaller vertex) of the
+    simple graph with neighbour bitmasks ``nbr``, and its width: an upper
+    bound on the treewidth."""
+    work = list(nbr)
+    remaining = set(range(len(work)))
+    order = []
+    width = 0
+    while remaining:
+        v = min(remaining, key=lambda a: (work[a].bit_count(), a))
+        order.append(v)
+        remaining.discard(v)
+        around = work[v]
+        width = max(width, around.bit_count())
+        v_bit = 1 << v
+        for a in remaining:
+            if around >> a & 1:
+                work[a] = (work[a] | around) & ~(v_bit | 1 << a)
+    return order, width
+
+
+def _treewidth_dp(nbr: list[int]) -> int:
+    """Exact treewidth of the simple graph with neighbour bitmasks ``nbr``,
+    by dynamic programming over elimination prefixes in O(2^n) states."""
+    n = len(nbr)
     full = (1 << n) - 1
 
     def back_degree(eliminated: int, v: int) -> int:
@@ -199,10 +286,7 @@ def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
                 v = low.bit_length() - 1
                 result = min(result, max(later, back_degree(eliminated, v)))
         best[eliminated] = result
-    tw = best[0]
-    if max_width is not None and tw > max_width:
-        return None
-    return tw
+    return best[0]
 
 
 def treedec_by_elimination(g: MultiGraph,
@@ -215,29 +299,15 @@ def treedec_by_elimination(g: MultiGraph,
     if not g.is_connected():
         raise DomainError("graph must be connected")
     n = g.n
-    adj = [set(g.adjacency(v)) for v in range(n)]
     if order is None:
-        remaining = set(range(n))
-        work = [set(a) for a in adj]
-        order = []
-        while remaining:
-            v = min(remaining, key=lambda u: (len(work[u]), u))
-            order.append(v)
-            for a in work[v]:
-                work[a].discard(v)
-            for a in work[v]:
-                for b in work[v]:
-                    if a != b:
-                        work[a].add(b)
-            remaining.discard(v)
-        order = list(order)
+        order = _min_degree_order(_neighbour_masks(g))[0]
     else:
         order = list(order)
         if sorted(order) != list(range(n)):
             raise DomainError("elimination order must be a permutation of V")
 
     pos = {v: i for i, v in enumerate(order)}
-    work = [set(a) for a in adj]
+    work = [set(g.adjacency(v)) for v in range(n)]
     bags: list[VertexSet] = []
     edges: list[tuple[int, int]] = []
     bag_of: dict[int, int] = {}

@@ -254,6 +254,27 @@ def test_build_mss_reuses_the_rank_verdict(monkeypatch):
     assert checked >= 20
 
 
+def test_build_mss_skips_searches_with_known_answers(monkeypatch, fixture_graph,
+                                                     fixture_divisor):
+    """Operation-count guard on the golden fixture: a split child's
+    territory is one flap, and a step-II child goes straight to step III,
+    so only the other positions get a flap or neighbourhood search (6 and 5
+    searches when every position got both)."""
+    calls = {"flaps_within": 0, "neighborhood": 0}
+    for name in calls:
+        method = getattr(MultiGraph, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MultiGraph, name, counting)
+    tree = build_mss(fixture_graph, fixture_divisor)
+    assert calls["flaps_within"] <= 3
+    assert calls["neighborhood"] <= 4
+    assert validate_mss(fixture_graph, tree, 4).ok
+
+
 class TestValidateMss:
     def test_accepts_golden_tree(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)

@@ -85,6 +85,20 @@ class TestValidate:
         report = validate_treedec(g, td)
         assert not report.ok
 
+    def test_cycle_with_a_detached_bag_gets_the_search(self):
+        # b - 1 tree edges, but a cycle and a detached bag: vertex 1 fills
+        # the cycle (three bags, three shared edges) and is connected, and
+        # counting would wrongly flag it; vertex 2's bags are split
+        g = path_graph(3)
+        td = TreeDecomposition(
+            [frozenset({0, 1}), frozenset({1, 2}), frozenset({1}), frozenset({2})],
+            [(0, 1), (1, 2), (2, 0)],
+        )
+        assert validate_treedec(g, td).violations == [
+            "bag tree is disconnected",
+            "condition 3 at vertex 2",
+        ]
+
     def test_violation_strings_in_order(self):
         g = cycle_graph(4)
         td = TreeDecomposition(
@@ -301,6 +315,8 @@ def test_bitmask_oracle_matches_all_elimination_orders(g):
     assume(g.n <= 6)
     tw = treewidth_bruteforce(g)
     assert tw == treewidth_by_all_orders(g)
+    # the dynamic program on its own, whether or not the bounds met
+    assert treedec._treewidth_dp(treedec._neighbour_masks(g)) == tw
     simple = nx.Graph()
     simple.add_nodes_from(range(g.n))
     simple.add_edges_from(g.edge_multiplicities)
@@ -374,3 +390,51 @@ class TestContractRefinement:
         td = TreeDecomposition([frozenset({0})], [])
         with pytest.raises(DomainError):
             contract_refinement(g, g, td, RefinementMap.identity(2))
+
+
+@given(multigraphs())
+@settings(max_examples=120, deadline=None)
+def test_treewidth_bounds_enclose_the_treewidth(g):
+    nbr = treedec._neighbour_masks(g)
+    order, ub = treedec._min_degree_order(nbr)
+    assert sorted(order) == list(range(g.n))
+    assert treedec._minor_min_width(nbr) <= treedec._treewidth_dp(nbr) <= ub
+
+
+def _counting_dp(monkeypatch):
+    calls = [0]
+    dp = treedec._treewidth_dp
+
+    def counting(nbr):
+        calls[0] += 1
+        return dp(nbr)
+
+    monkeypatch.setattr(treedec, "_treewidth_dp", counting)
+    return calls
+
+
+def test_oracle_runs_the_dp_where_the_bounds_differ(monkeypatch):
+    """Minor-min-width 3 and min-degree width 4 on this graph: the oracle
+    must fall back to the dynamic program, which finds 4."""
+    g = MultiGraph(7, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (2, 3),
+                       (2, 6), (3, 5), (4, 5), (4, 6), (5, 6)])
+    nbr = treedec._neighbour_masks(g)
+    assert treedec._minor_min_width(nbr) == 3
+    assert treedec._min_degree_order(nbr)[1] == 4
+    calls = _counting_dp(monkeypatch)
+    assert treewidth_bruteforce(g) == 4
+    assert calls[0] == 1
+    assert treewidth_bruteforce(g, max_width=3) is None
+    assert calls[0] == 2
+
+
+def test_oracle_skips_the_dp_where_the_bounds_meet(monkeypatch, fixture_graph):
+    """Operation-count guard: the bounds meet on the fixture (tw 2) and on
+    the 3 x 3 grid (tw 3), so the dynamic program never runs."""
+    grid = MultiGraph(9, [(i, i + 1) for i in range(9) if i % 3 != 2]
+                      + [(i, i + 3) for i in range(6)])
+    calls = _counting_dp(monkeypatch)
+    assert treewidth_bruteforce(fixture_graph) == 2
+    assert treewidth_bruteforce(grid) == 3
+    assert treewidth_bruteforce(grid, max_width=2) is None
+    assert calls[0] == 0
