@@ -165,6 +165,8 @@ def cmd_treedec(args) -> int:
 def cmd_morphism_td(args) -> int:
     from .morphism import stable_treedec
     from .treedec import RefinementMap
+    if args.refinement and not args.original:
+        raise DomainError("--refinement needs --original")
     g_refined, _ = _load_graph(args)
     t = formats.parse_gr(_read(args.tree))
     f = formats.parse_morphism(_read(args.morphism), g_refined, t)

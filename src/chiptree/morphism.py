@@ -10,7 +10,6 @@ at most k by subdividing each tree edge once per fiber edge.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .errors import DomainError
@@ -76,43 +75,43 @@ def check_morphism(g: MultiGraph, t: MultiGraph,
 def harmonic_certificate(
         g: MultiGraph, t: MultiGraph,
         f: FiniteMorphism) -> tuple[Optional[HarmonicCertificate], MorphismReport]:
-    """Compute per-vertex fiber sums and the degree, or locate a violation."""
+    """Compute per-vertex fiber sums and the degree, or locate a violation.
+
+    One pass each over E(G), V(G) and the two fiber-sum lists: the time is
+    linear in |V| + |E| + |T|.
+    """
     base = check_morphism(g, t, f)
     if not base.ok:
         return None, base
     if g.num_edges < 1:
         return None, MorphismReport(False, ["graph has no edges"])
-    g_edges = g.edge_list
-    t_edges = t.edge_list
-    t_adj_edges: list[list[int]] = [[] for _ in range(t.n)]
-    for i, (a, b) in enumerate(t_edges):
-        t_adj_edges[a].append(i)
-        t_adj_edges[b].append(i)
 
     # index sums at v, per incident tree edge of f(v)
     sums: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for i, (u, v) in enumerate(g_edges):
-        ti = f.edge_map[i]
-        sums[u][ti] = sums[u].get(ti, 0) + f.index[i]
-        sums[v][ti] = sums[v].get(ti, 0) + f.index[i]
+    edge_fiber_sums = [0] * (t.n - 1)
+    for (u, v), ti, idx in zip(g.edge_list, f.edge_map, f.index):
+        sums[u][ti] = sums[u].get(ti, 0) + idx
+        sums[v][ti] = sums[v].get(ti, 0) + idx
+        edge_fiber_sums[ti] += idx
 
+    # incidence holds, so the tree edges at f(v) that v's edges miss see 0;
+    # f(v) has at least one tree edge, so values is never empty
     m = []
-    for v in range(g.n):
-        incident = t_adj_edges[f.vertex_map[v]]
-        values = {sums[v].get(ti, 0) for ti in incident}
+    vertex_fiber_sums = [0] * t.n
+    for v, w in enumerate(f.vertex_map):
+        values = set(sums[v].values())
+        if len(sums[v]) < len(t._adj[w]):
+            values.add(0)
         if len(values) > 1:
             return None, MorphismReport(
                 False,
                 [f"vertex {v}: unequal index sums {sorted(values)} across tree edges"],
             )
-        m.append(values.pop() if values else 0)
+        mv = values.pop()
+        m.append(mv)
+        vertex_fiber_sums[w] += mv
 
-    degrees = set()
-    for w in range(t.n):
-        degrees.add(sum(m[v] for v in range(g.n) if f.vertex_map[v] == w))
-    for ti in range(len(t_edges)):
-        degrees.add(sum(f.index[i] for i in range(len(g_edges))
-                        if f.edge_map[i] == ti))
+    degrees = set(vertex_fiber_sums) | set(edge_fiber_sums)
     if len(degrees) != 1:
         return None, MorphismReport(
             False, [f"fiber sums disagree across the tree: {sorted(degrees)}"]
@@ -123,28 +122,12 @@ def harmonic_certificate(
     return HarmonicCertificate(tuple(m), degree), MorphismReport(True, [])
 
 
-def _tree_orientation(t: MultiGraph, root: int = 0) -> dict[int, tuple[int, int]]:
-    """Orient each tree edge (i, j) with i the endpoint closer to the root."""
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in t.adjacency(v):
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    oriented = {}
-    for ti, (a, b) in enumerate(t.edge_list):
-        oriented[ti] = (a, b) if depth[a] < depth[b] else (b, a)
-    return oriented
-
-
 def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
                         counter: Optional[list] = None) -> TreeDecomposition:
     """Tree decomposition of width <= deg(f) from a harmonic morphism.
 
-    Each tree edge is subdivided once per fiber edge; the bag at an
-    original tree node is the vertex fiber, and the bag chain along a
+    Each tree edge is subdivided once per fiber edge; bag w, at original
+    tree node w, is the vertex fiber, and the bag chain along a
     subdivided edge walks the fiber edges from one side to the other.
     ``counter``, if given, receives one entry per elementary bag insertion
     (used to check the O(k^2 |V|) work bound).
@@ -159,57 +142,48 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
     if cert is None:
         raise DomainError(f"morphism is not harmonic: {report.violations[0]}")
     k = cert.degree
+    vertex_map = f.vertex_map
 
-    def insert(bag: set, v: int) -> None:
-        bag.add(v)
-        if counter is not None:
-            counter.append(v)
+    bags: list[list[int]] = [[] for _ in range(t.n)]
+    for v, w in enumerate(vertex_map):
+        bags[w].append(v)
+    assert all(len(bag) <= k for bag in bags)
+    if counter is not None:
+        counter.extend(range(g.n))
 
-    g_edges = g.edge_list
-    fibers: dict[int, list[int]] = {}
-    for i in range(len(g_edges)):
-        fibers.setdefault(f.edge_map[i], []).append(i)
-    assert all(len(fib) <= k for fib in fibers.values())
+    # tree depths from root 0, one BFS over the tree
+    depth = [-1] * t.n
+    depth[0] = 0
+    order = [0]
+    for a in order:
+        for b, _ in t._adj[a]:
+            if depth[b] < 0:
+                depth[b] = depth[a] + 1
+                order.append(b)
 
-    # bag per original tree node: the vertex fiber
-    bags: list[set] = []
-    node_of_tree_vertex = {}
-    for w in range(t.n):
-        bag: set = set()
-        for v in range(g.n):
-            if f.vertex_map[v] == w:
-                insert(bag, v)
-        assert len(bag) <= k
-        node_of_tree_vertex[w] = len(bags)
-        bags.append(bag)
+    # each fiber edge as (near, far, edge id), near mapping closer to the root
+    fibers: list[list[tuple[int, int, int]]] = [[] for _ in range(t.n - 1)]
+    for eid, ((u, v), ti) in enumerate(zip(g.edge_list, f.edge_map)):
+        if depth[vertex_map[u]] > depth[vertex_map[v]]:
+            u, v = v, u
+        fibers[ti].append((u, v, eid))
 
+    # the certificate makes every fiber non-empty
     edges: list[tuple[int, int]] = []
-    oriented = _tree_orientation(t)
-    for ti in sorted(fibers):
-        i_end, j_end = oriented[ti]
-        fiber = fibers[ti]
-        # each fiber edge as (v, w) with f(v) = i_end
-        vw = []
-        for eid in fiber:
-            u, v = g_edges[eid]
-            if f.vertex_map[u] == i_end:
-                vw.append((u, v, eid))
-            else:
-                vw.append((v, u, eid))
-        vw.sort(key=lambda p: (p[0], p[1], p[2]))
-        kp = len(vw)
-        prev = node_of_tree_vertex[i_end]
-        for r in range(1, kp + 1):
-            bag = set()
-            for s in range(r, kp + 1):
-                insert(bag, vw[s - 1][0])
-            for s in range(1, r + 1):
-                insert(bag, vw[s - 1][1])
-            node = len(bags)
-            bags.append(bag)
-            edges.append((prev, node))
-            prev = node
-        edges.append((prev, node_of_tree_vertex[j_end]))
+    for fiber in fibers:
+        assert len(fiber) <= k
+        fiber.sort()
+        near = [p[0] for p in fiber]
+        far = [p[1] for p in fiber]
+        prev = vertex_map[near[0]]
+        for r in range(1, len(fiber) + 1):
+            chain = near[r - 1:] + far[:r]
+            if counter is not None:
+                counter.extend(chain)
+            edges.append((prev, len(bags)))
+            prev = len(bags)
+            bags.append(chain)
+        edges.append((prev, vertex_map[far[0]]))
 
     return TreeDecomposition([frozenset(b) for b in bags], edges)
 

@@ -348,6 +348,11 @@ class RefinementMap(FrozenRecord):
         if len(self.original) != g_original.n or \
                 sorted(self.original.values()) != list(range(g_original.n)):
             raise DomainError("original vertices must biject with V(G)")
+        n = g_original.n
+        for v, (u, w, _copy, _pos) in self.subdivision.items():
+            if not 0 <= u < w < n:
+                raise DomainError(f"subdivision vertex {v} sits on edge ({u},{w}), "
+                                  f"which needs 0 <= u < w < {n}")
 
     def collapse(self, v: int) -> Optional[int]:
         """Original vertex standing in for refined vertex v, or None for leaves."""

@@ -174,37 +174,57 @@ class TestVerifyTd:
         assert code == 1 and "invalid-treedec" in err
 
 
+@pytest.fixture()
+def fold_args(tmp_path):
+    """``morphism-td`` arguments for the C4 -> P3 fold, plus the 2-banana
+    (the graph C4 refines) written next to them."""
+    from chiptree.fixtures import banana_graph
+    from chiptree.formats import parse_gr
+    g, t, f = c4_to_p3_morphism()
+    (tmp_path / "c4.gr").write_text(write_gr(g))
+    (tmp_path / "p3.gr").write_text(write_gr(t))
+    # the .gr round trip drops labels, so name vertices numerically
+    (tmp_path / "fold.map").write_text(write_morphism(
+        f, parse_gr(write_gr(g)), parse_gr(write_gr(t))))
+    (tmp_path / "banana.gr").write_text(write_gr(banana_graph(2)))
+    return ["morphism-td", "--input", str(tmp_path / "c4.gr"),
+            "--tree", str(tmp_path / "p3.gr"),
+            "--morphism", str(tmp_path / "fold.map")]
+
+
 class TestMorphismTd:
-    def test_fold(self, capsys, tmp_path):
-        g, t, f = c4_to_p3_morphism()
-        gp = tmp_path / "c4.gr"
-        tp = tmp_path / "p3.gr"
-        mp = tmp_path / "fold.map"
-        gp.write_text(write_gr(g))
-        tp.write_text(write_gr(t))
-        # the .gr round trip drops labels, so name vertices numerically
-        from chiptree.formats import parse_gr
-        mp.write_text(write_morphism(f, parse_gr(write_gr(g)),
-                                     parse_gr(write_gr(t))))
-        code, out, _ = run(capsys, "morphism-td", "--input", str(gp),
-                           "--tree", str(tp), "--morphism", str(mp))
-        assert code == 0
-        td = parse_td(out)
-        report = validate_treedec(g, td)
+    def test_fold(self, capsys, fold_args):
+        code, out, err = run(capsys, *fold_args)
+        assert code == 0 and err == ""
+        assert out == (
+            "s td 7 3 4\n"
+            "b 1 1\nb 2 2 4\nb 3 3\nb 4 1 2\nb 5 1 2 4\nb 6 2 3 4\nb 7 3 4\n"
+            "1 4\n4 5\n5 2\n2 6\n6 7\n7 3\n"
+        )
+        report = validate_treedec(c4_to_p3_morphism()[0], parse_td(out))
         assert report.ok and report.width == 2
 
-    def test_non_harmonic_fails(self, capsys, tmp_path):
-        g, t, f = c4_to_p3_morphism()
-        gp = tmp_path / "c4.gr"
-        tp = tmp_path / "p3.gr"
+    def test_non_harmonic_fails(self, capsys, tmp_path, fold_args):
         mp = tmp_path / "fold.map"
-        gp.write_text(write_gr(g))
-        tp.write_text(write_gr(t))
-        from chiptree.formats import parse_gr
-        text = write_morphism(f, parse_gr(write_gr(g)),
-                              parse_gr(write_gr(t)))
-        text = text.replace("e 0 0 1", "e 0 0 2")
-        mp.write_text(text)
-        code, _, err = run(capsys, "morphism-td", "--input", str(gp),
-                           "--tree", str(tp), "--morphism", str(mp))
+        mp.write_text(mp.read_text().replace("e 0 0 1", "e 0 0 2"))
+        code, _, err = run(capsys, *fold_args)
         assert code == 1 and "not harmonic" in err
+
+    def test_subdivision_endpoint_outside_the_original_fails(
+            self, capsys, tmp_path, fold_args):
+        rp = tmp_path / "r.map"
+        rp.write_text("orig 0 0\norig 2 1\nsub 1 99 1 0 0\nsub 3 0 1 1 0\n")
+        out_path = tmp_path / "out.td"
+        code, out, err = run(capsys, *fold_args,
+                             "--original", str(tmp_path / "banana.gr"),
+                             "--refinement", str(rp), "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "subdivision vertex 1" in err
+
+    def test_refinement_without_original_fails(self, capsys, tmp_path, fold_args):
+        # the map file need not exist: the option pair is refused first
+        code, out, err = run(capsys, *fold_args,
+                             "--refinement", str(tmp_path / "missing.map"))
+        assert code == 1 and out == ""
+        assert err == "error: DomainError: --refinement needs --original\n"

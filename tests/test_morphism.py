@@ -3,13 +3,17 @@ import random
 import pytest
 
 from chiptree import (
+    Divisor,
     DomainError,
     FiniteMorphism,
     MultiGraph,
+    build_mss,
     check_morphism,
     harmonic_certificate,
+    has_positive_rank,
     is_tree,
     morphism_to_treedec,
+    mss_to_treedec,
     stable_treedec,
     validate_treedec,
 )
@@ -105,11 +109,12 @@ class TestMorphismToTreedec:
         g, t, f = c4_to_p3_morphism()
         td = morphism_to_treedec(g, t, f)
         # vertex fibers at the three path nodes, then chains along each edge
-        assert set(td.bags) == {
-            frozenset({0}), frozenset({0, 1, 3}), frozenset({2}),
-            frozenset({0, 1}), frozenset({1, 3}),
+        assert td.bags == [
+            frozenset({0}), frozenset({1, 3}), frozenset({2}),
+            frozenset({0, 1}), frozenset({0, 1, 3}),
             frozenset({1, 2, 3}), frozenset({2, 3}),
-        }
+        ]
+        assert td.tree_edges == [(0, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 2)]
         report = validate_treedec(g, td)
         assert report.ok, report.violations
         assert report.width == 2
@@ -155,6 +160,45 @@ class TestMorphismToTreedec:
             assert report.ok, report.violations
             assert report.width <= cert.degree
             assert len(counter) <= 4 * cert.degree * cert.degree * g.n
+
+    def test_large_covering(self):
+        g, t, f = random_harmonic_covering(random.Random(10), 1000, 3)
+        assert g.n == 2347
+        counter = []
+        td = morphism_to_treedec(g, t, f, counter=counter)
+        report = validate_treedec(g, td)
+        assert report.ok, report.violations
+        assert report.width <= 3
+        assert len(counter) <= 4 * 3 * 3 * g.n
+
+
+def _fold_and_coverings():
+    yield c4_to_p3_morphism()
+    rng = random.Random(4711)
+    for _ in range(60):
+        yield random_harmonic_covering(rng, rng.randint(2, 6), rng.randint(2, 4))
+
+
+@pytest.mark.parametrize("case", list(_fold_and_coverings()))
+def test_morphism_path_agrees_with_divisor_path(case):
+    # a harmonic morphism of degree k pulls every point of the tree back
+    # to a degree-k divisor of positive rank, and both constructions
+    # bound the treewidth by k
+    g, t, f = case
+    cert, report = harmonic_certificate(g, t, f)
+    assert report.ok, report.violations
+    k = cert.degree
+    td = morphism_to_treedec(g, t, f)
+    report = validate_treedec(g, td)
+    assert report.ok and report.width <= k
+    for w in range(t.n):
+        d = Divisor.of(cert.m[v] if f.vertex_map[v] == w else 0
+                       for v in range(g.n))
+        assert d.degree == k
+        assert has_positive_rank(g, d)
+        td = mss_to_treedec(g, build_mss(g, d))
+        report = validate_treedec(g, td)
+        assert report.ok and report.width <= k
 
 
 class TestStableTreedec:

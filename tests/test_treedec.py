@@ -391,6 +391,20 @@ class TestContractRefinement:
         with pytest.raises(DomainError):
             contract_refinement(g, g, td, RefinementMap.identity(2))
 
+    @pytest.mark.parametrize("edge", [(1, 99), (0, 2), (1, 0), (-1, 1), (0, 0)])
+    def test_subdivision_endpoints_outside_the_original_rejected(self, edge):
+        # the 2-banana refined into C4, with one subdivision vertex placed
+        # on an edge that the banana does not have
+        banana = banana_graph(2)
+        c4 = MultiGraph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        rmap = RefinementMap({0: 0, 1: 1},
+                             {2: (*edge, 0, 0), 3: (0, 1, 1, 0)}, {})
+        td = TreeDecomposition(
+            [frozenset({0, 2, 1}), frozenset({0, 1, 3})], [(0, 1)]
+        )
+        with pytest.raises(DomainError, match="subdivision vertex 2"):
+            contract_refinement(banana, c4, td, rmap)
+
 
 @given(multigraphs())
 @settings(max_examples=120, deadline=None)
