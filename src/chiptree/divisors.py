@@ -8,7 +8,7 @@ through q-reduction, whose fixed point is unique per class.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
 from .graph import FrozenRecord, MultiGraph, VertexSet
@@ -124,7 +124,7 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
         if out > d[v]:
             raise NotFireableError(v, out, d[v])
     chips = list(d.chips)
-    _fire(g._adj, chips, uset, 1)
+    _fire(g._adj, chips, uset)
     return Divisor(tuple(chips))
 
 
@@ -147,7 +147,8 @@ def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
     _require_divisor(g, d)
     _require_connected(g)
     _require_vertices(g, (q,), "q")
-    return frozenset(_dhar(g._adj, d.chips, q))
+    room, _ = _burn(g._adj, d.chips, q)
+    return frozenset(v for v, left in enumerate(room) if left >= 0)
 
 
 def is_q_reduced(g: MultiGraph, d: Divisor, q: int) -> bool:
@@ -179,15 +180,15 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
 # ``adj`` is ``MultiGraph._adj``, one tuple of (neighbour, multiplicity)
 # pairs per vertex, read only.
 
-_NOTHING_UNBURNT: frozenset[int] = frozenset()
-
-def _dhar(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
-          q: int) -> AbstractSet[int]:
-    """Unburnt set U of Dhar's burning from q; read only.
+def _burn(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
+          q: int) -> tuple[list[int], int]:
+    """Dhar's burning from q; read only.  Returns ``room`` and the number of
+    burnt vertices.
 
     ``room[v]`` is chips(v) minus the edges from v into the fire; v burns
     when its room goes negative, and the fire spreads from each vertex
-    once, so the burn is O(|E|).
+    once, so the burn is O(|E|).  The unburnt set U is the v with
+    ``room[v] >= 0``, and for v in U, outdeg_U(v) = chips(v) - room(v).
     """
     room = list(chips)
     room[q] = -1
@@ -200,19 +201,16 @@ def _dhar(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
                 room[w] = left
                 if left < 0:
                     burnt.append(w)
-    if len(burnt) == len(room):
-        return _NOTHING_UNBURNT
-    return {v for v, left in enumerate(room) if left >= 0}
+    return room, len(burnt)
 
 
-def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u,
-          times: int) -> None:
-    """Fire the set u ``times`` times, in place; legality is the caller's."""
+def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u) -> None:
+    """Fire the set u once, in place; legality is the caller's."""
     for v in u:
         for w, m in adj[v]:
             if w not in u:
-                chips[v] -= m * times
-                chips[w] += m * times
+                chips[v] -= m
+                chips[w] += m
 
 
 def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
@@ -220,9 +218,8 @@ def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
             covered: Optional[list[bool]] = None) -> None:
     """q-reduce chips in place with batched Dhar firings; add the script to x.
 
-    Each round burns from q as ``_dhar`` does and fires the unburnt set U
-    in the same loop: v is in U iff ``room[v] >= 0``, and then
-    outdeg_U(v) = chips(v) - room(v), so U is never built as a set.
+    Each round burns from q with ``_burn`` and fires the unburnt set U
+    straight from its ``room``, so U is never built as a set.
     With ``until_chip_on_q`` it returns as soon as q holds a chip: q never
     fires, so its count only grows and the reduced divisor keeps that chip.
     With ``covered``, every vertex that receives chips is marked in it.
@@ -233,18 +230,8 @@ def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
     for _ in range(bound + 1):
         if until_chip_on_q and chips[q]:
             return
-        room = chips[:]
-        room[q] = -1
-        burnt = [q]
-        for v in burnt:
-            for w, m in adj[v]:
-                left = room[w]
-                if left >= 0:
-                    left -= m
-                    room[w] = left
-                    if left < 0:
-                        burnt.append(w)
-        if len(burnt) == n:
+        room, burnt = _burn(adj, chips, q)
+        if burnt == n:
             return
         # fire U as often as stays legal: the least chips(v) // outdeg_U(v)
         # over v in U with outdeg_U(v) > 0, which is at most deg(d)

@@ -22,7 +22,8 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
 
     q never fires while d is q-reduced, so the chips on q only grow, and a
     reduction stops as soon as q receives a chip.  Every divisor a legal
-    reduction passes through is effective and equivalent to d, so a q that
+    reduction passes through is effective and equivalent to d.  So each
+    reduction starts from the chips the previous one left, and a q that
     holds a chip in d, or received one in an earlier reduction of this
     test, passes without a reduction of its own.
 
@@ -34,11 +35,11 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     _require_connected(g)
     if g._positive_rank == d.chips:
         return True
-    covered = [c > 0 for c in d.chips]
+    chips = list(d.chips)
+    covered = [c > 0 for c in chips]
     for q in range(g.n):
         if covered[q]:
             continue
-        chips = list(d.chips)
         _reduce(g._adj, chips, q, until_chip_on_q=True, covered=covered)
         if not chips[q]:
             return False

@@ -20,8 +20,9 @@ class Record:
     """Base of the package's records: the fields are the ``__slots__``, equal
     field by field within one class and shown by repr.  A slot whose name
     starts with an underscore is private state, outside equality, repr and
-    pickle.  Hot records define their own ``__init__``; this one takes the
-    fields by position or keyword."""
+    pickle.  A class may name its fields itself, properties included.  Hot
+    records define their own ``__init__``; this one takes the fields by
+    position or keyword."""
 
     __slots__ = ()
     __hash__ = None
@@ -29,7 +30,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .graph import FrozenRecord, MultiGraph, Record
-from .treedec import RefinementMap, TreeDecomposition, contract_refinement
+from .treedec import RefinementMap, TreeDecomposition, _contract
 
 
 class FiniteMorphism(FrozenRecord):
@@ -43,10 +43,15 @@ def is_tree(t: MultiGraph) -> bool:
 def check_morphism(g: MultiGraph, t: MultiGraph,
                    f: FiniteMorphism) -> MorphismReport:
     """Verify incidence preservation and index positivity."""
+    return _check_morphism(g, t, f, g.edge_list)
+
+
+def _check_morphism(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
+                    g_edges: list[tuple[int, int]]) -> MorphismReport:
+    """``check_morphism`` with ``g.edge_list`` already read."""
     violations = []
     if not is_tree(t):
         violations.append("codomain is not a tree")
-    g_edges = g.edge_list
     t_edges = t.edge_list
     if len(f.vertex_map) != g.n:
         violations.append("vertex_map length does not match |V(G)|")
@@ -80,16 +85,23 @@ def harmonic_certificate(
     One pass each over E(G), V(G) and the two fiber-sum lists: the time is
     linear in |V| + |E| + |T|.
     """
-    base = check_morphism(g, t, f)
+    return _harmonic_certificate(g, t, f, g.edge_list)
+
+
+def _harmonic_certificate(
+        g: MultiGraph, t: MultiGraph, f: FiniteMorphism, g_edges: list[tuple[int, int]],
+) -> tuple[Optional[HarmonicCertificate], MorphismReport]:
+    """``harmonic_certificate`` with ``g.edge_list`` already read."""
+    base = _check_morphism(g, t, f, g_edges)
     if not base.ok:
         return None, base
-    if g.num_edges < 1:
+    if not g_edges:
         return None, MorphismReport(False, ["graph has no edges"])
 
     # index sums at v, per incident tree edge of f(v)
     sums: list[dict[int, int]] = [dict() for _ in range(g.n)]
     edge_fiber_sums = [0] * (t.n - 1)
-    for (u, v), ti, idx in zip(g.edge_list, f.edge_map, f.index):
+    for (u, v), ti, idx in zip(g_edges, f.edge_map, f.index):
         sums[u][ti] = sums[u].get(ti, 0) + idx
         sums[v][ti] = sums[v].get(ti, 0) + idx
         edge_fiber_sums[ti] += idx
@@ -132,8 +144,9 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
     ``counter``, if given, receives one entry per elementary bag insertion
     (used to check the O(k^2 |V|) work bound).
     """
-    cert, report = harmonic_certificate(g, t, f)
-    if g.num_edges == 0:
+    g_edges = g.edge_list
+    cert, report = _harmonic_certificate(g, t, f, g_edges)
+    if not g_edges:
         if g.n != 1:
             raise DomainError("edgeless graph must be a single vertex (connected)")
         return TreeDecomposition([frozenset({0})], [])
@@ -163,7 +176,7 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
 
     # each fiber edge as (near, far, edge id), near mapping closer to the root
     fibers: list[list[tuple[int, int, int]]] = [[] for _ in range(t.n - 1)]
-    for eid, ((u, v), ti) in enumerate(zip(g.edge_list, f.edge_map)):
+    for eid, ((u, v), ti) in enumerate(zip(g_edges, f.edge_map)):
         if depth[vertex_map[u]] > depth[vertex_map[v]]:
             u, v = v, u
         fibers[ti].append((u, v, eid))
@@ -192,6 +205,11 @@ def stable_treedec(g_original: MultiGraph, g_refined: MultiGraph,
                    rmap: RefinementMap, t: MultiGraph,
                    f: FiniteMorphism) -> TreeDecomposition:
     """Decomposition of the original graph via a harmonic morphism of a
-    refinement: build on the refinement, then contract the refinement away."""
+    refinement: build on the refinement, then contract the refinement away.
+
+    The decomposition ``morphism_to_treedec`` builds is valid by
+    construction, so only the refinement map is checked before contracting.
+    """
     td = morphism_to_treedec(g_refined, t, f)
-    return contract_refinement(g_original, g_refined, td, rmap)
+    rmap.check(g_original, g_refined)
+    return _contract(td, rmap)

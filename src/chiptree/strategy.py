@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .divisors import Divisor, _dhar, _fire, _require_vertices
+from .divisors import Divisor, _burn, _fire, _require_vertices
 from .errors import DomainError, GraphError, InternalError
 from .gonality import has_positive_rank
 from .graph import FrozenRecord, MultiGraph, Record, VertexSet
@@ -53,34 +53,60 @@ class MssNode(FrozenRecord):
 class MssTree(FrozenRecord):
     """Rooted strategy tree; node 0 is the root (empty X, full territory).
 
-    ``_built_for`` is the graph ``build_mss`` built the tree for, and None
-    on every tree made any other way, copies and unpickled trees included.
+    The nodes are stored as columns, one list each of searcher sets,
+    territories, moves, parents and children lists.  ``nodes`` builds the
+    ``MssNode`` records from them on first read and keeps them; a tree made
+    from records keeps those.  Equality, hash, repr and pickle go through
+    ``nodes``.  ``_built_for`` is the
+    graph ``build_mss`` built the tree for, and None on every tree made any
+    other way, copies and unpickled trees included.
     """
 
-    __slots__ = ("nodes", "searchers", "_built_for")
+    __slots__ = ("searchers", "_xs", "_rs", "_moves", "_parents", "_children",
+                 "_nodes", "_built_for")
+    _fields = ("nodes", "searchers")
 
     def __init__(self, nodes: Iterable[MssNode], searchers: int):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "searchers", searchers)
-        object.__setattr__(self, "_built_for", None)
+        nodes = tuple(nodes)
+        positions = [node.position for node in nodes]
+        self._fill(searchers,
+                   [p.searchers for p in positions],
+                   [p.territory for p in positions],
+                   [node.move for node in nodes],
+                   [node.parent for node in nodes],
+                   [node.children for node in nodes],
+                   nodes, None)
+
+    def _fill(self, *values) -> None:
+        """Set every slot, the values in ``__slots__`` order."""
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    @property
+    def nodes(self) -> tuple[MssNode, ...]:
+        if self._nodes is None:
+            positions = map(Position, self._xs, self._rs)
+            nodes = tuple(map(MssNode, positions, self._moves, self._parents,
+                              self._children))
+            object.__setattr__(self, "_nodes", nodes)
+        return self._nodes
 
     @property
     def root(self) -> int:
         return 0
 
     def max_searchers_used(self) -> int:
-        return max(len(node.position.searchers) for node in self.nodes)
+        return max(map(len, self._xs))
 
     def to_dot(self, g: MultiGraph) -> str:
         lines = ["digraph mss {", "  node [shape=record];"]
-        for i, node in enumerate(self.nodes):
-            x, r = node.position.searchers, node.position.territory
+        for i, (x, r) in enumerate(zip(self._xs, self._rs)):
             lines.append(
                 f'  n{i} [label="{g.set_name(x)} | {g.set_name(r)}"];'
             )
-        for i, node in enumerate(self.nodes):
-            for c in node.children:
-                tag = STEP_LABEL.get(self.nodes[c].move, "")
+        for i, kids in enumerate(self._children):
+            for c in kids:
+                tag = STEP_LABEL.get(self._moves[c], "")
                 attr = f' [label="{tag}"]' if tag else ""
                 lines.append(f"  n{i} -> n{c}{attr};")
         lines.append("}")
@@ -120,24 +146,36 @@ def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
     """Unchecked kernel of ``good_firing_set``: advance chips in place to d''
     and return its fireable set U.
 
-    Repeatedly runs Dhar's algorithm at the smallest vertex of r, firing
-    the result once while it stays disjoint from X.  Termination within
+    Repeatedly burns from the smallest vertex of r, firing the unburnt set
+    U once while it stays disjoint from X.  As in ``divisors._reduce``, U
+    is read from the burn's ``room`` and fired in the same loop, and it is
+    built as a set only on the round that returns it.  Termination within
     deg(d) * n rounds follows from the distance-decrease argument.
     """
     q = min(r)
-    bound = max(1, sum(chips) * len(chips))
+    n = len(chips)
+    bound = max(1, sum(chips) * n)
     for _ in range(bound + 1):
-        u = _dhar(adj, chips, q)
-        if not u:
+        room, burnt = _burn(adj, chips, q)
+        if burnt == n:
             raise InternalError(
                 "Dhar returned the empty set during good_firing_set; "
                 "the divisor does not have positive rank"
             )
-        if u & x:
-            if u & r:
-                raise InternalError("fireable set meets the territory flap")
-            return u
-        _fire(adj, chips, u, 1)
+        for s in x:
+            if room[s] >= 0:
+                u = {v for v, left in enumerate(room) if left >= 0}
+                if not u.isdisjoint(r):
+                    raise InternalError("fireable set meets the territory flap")
+                return u
+        # fire U once: v in U sends a chip along each edge into the fire
+        # and is left with room(v)
+        for v, left in enumerate(room):
+            if left >= 0:
+                chips[v] = left
+                for w, m in adj[v]:
+                    if room[w] < 0:
+                        chips[w] += m
     raise InternalError(
         f"good_firing_set did not finish within {bound} iterations"
     )
@@ -153,20 +191,20 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     if not has_positive_rank(g, d):
         raise DomainError("divisor does not have positive rank")
 
-    k = d.degree
+    adj = g._adj
     everything = frozenset(range(g.n))
     supp = d.support
-    first = Position(supp, everything - supp)
+    # the tree's columns: the root (empty, V), then its child (supp(D), V - supp(D))
+    xs = [frozenset(), supp]
+    rs = [everything, everything - supp]
+    moves = [ROOT, GROW]
+    parents: list[Optional[int]] = [None, 0]
+    children: list[list[int]] = [[1], []]
 
-    # node fields as plain lists; each MssNode is made once, at the end
-    positions = [Position(frozenset(), everything)]
-    moves = [ROOT]
-    parents: list[Optional[int]] = [None]
-    children: list[list[int]] = [[]]
-
-    def add_node(parent: int, pos: Position, move: str) -> int:
-        idx = len(positions)
-        positions.append(pos)
+    def add_node(parent: int, x: VertexSet, r: VertexSet, move: str) -> int:
+        idx = len(xs)
+        xs.append(x)
+        rs.append(r)
         moves.append(move)
         parents.append(parent)
         children.append([])
@@ -179,9 +217,8 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     # R is one X-flap, so step I cannot apply to it; a step-II child's R is
     # one flap of G - N(R) and its X is N(R), so it goes straight to step III.
     pending: deque[tuple[int, tuple[int, ...], int]] = deque()
-    first_idx = add_node(0, first, GROW)
-    if first.territory:
-        pending.append((first_idx, d.chips, 1))
+    if rs[1]:
+        pending.append((1, d.chips, 1))
 
     rounds = 0
     max_rounds = g.n * g.n + 1
@@ -190,18 +227,16 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         if rounds > max_rounds:
             raise InternalError("construction exceeded the n^2 node bound")
         i, chips_cur, step = pending.popleft()
-        pos = positions[i]
-        x, r = pos.searchers, pos.territory
+        x, r = xs[i], rs[i]
 
         if step == 1:
             flaps = g.flaps_within(x, r)
             if len(flaps) >= 2:
                 # step I: split the territory into its flaps
                 if trace is not None:
-                    trace.append(("I", pos, flaps))
+                    trace.append(("I", Position(x, r), flaps))
                 for flap in flaps:
-                    child = add_node(i, Position(x, flap), SPLIT)
-                    pending.append((child, chips_cur, 2))
+                    pending.append((add_node(i, x, flap, SPLIT), chips_cur, 2))
                 continue
 
         if step <= 2:
@@ -209,33 +244,33 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             if nr < x:
                 # step II: retract searchers not bordering the territory
                 if trace is not None:
-                    trace.append(("II", pos, nr))
-                child = add_node(i, Position(nr, r), SHRINK)
-                pending.append((child, chips_cur, 3))
+                    trace.append(("II", Position(x, r), nr))
+                pending.append((add_node(i, nr, r, SHRINK), chips_cur, 3))
                 continue
 
         # step III: N(R) = X and R is a single flap; advance along a firing set
         chips = list(chips_cur)
-        u = _good_firing_set(g._adj, chips, x, r)
+        u = _good_firing_set(adj, chips, x, r)
         if trace is not None:
-            trace.append(("III", pos, (Divisor(tuple(chips)), frozenset(u))))
-        movers = sorted(u & x)
+            trace.append(("III", Position(x, r),
+                          (Divisor(tuple(chips)), frozenset(u))))
+        # each mover s first grows X onto its neighbours in R, then leaves;
+        # prev_r is always R - prev_x, so a grow that adds no vertex is no move
         prev_x, prev_r = x, r
         parent = i
-        for s in movers:
-            xi = prev_x | (g.neighbors_in(s, r))
-            ri = r - xi
-            if (xi, ri) != (prev_x, prev_r):
-                parent = add_node(parent, Position(xi, ri), GROW)
-            xi_prime = xi - {s}
-            parent = add_node(parent, Position(xi_prime, ri), SHRINK)
-            prev_x, prev_r = xi_prime, ri
-        _fire(g._adj, chips, u, 1)
+        for s in sorted(u & x):
+            xi = prev_x | g.neighbors_in(s, r)
+            if len(xi) > len(prev_x):
+                prev_r = r - xi
+                parent = add_node(parent, xi, prev_r, GROW)
+            prev_x = xi - {s}
+            parent = add_node(parent, prev_x, prev_r, SHRINK)
+        _fire(adj, chips, u)
         if prev_r:
             pending.append((parent, tuple(chips), 1))
 
-    tree = MssTree(map(MssNode, positions, moves, parents, children), k + 1)
-    object.__setattr__(tree, "_built_for", g)
+    tree = object.__new__(MssTree)
+    tree._fill(d.degree + 1, xs, rs, moves, parents, children, None, g)
     return tree
 
 
@@ -252,16 +287,17 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     n = g.n
     everything = frozenset(range(n))
-    if not tree.nodes:
+    xs, rs, kids_of = tree._xs, tree._rs, tree._children
+    size = len(xs)
+    if not size:
         return MssReport(False, [MssViolation(None, "empty tree")])
 
     # before any check reads a node, walk from the root: every child index
     # names a node, no node is reached twice and every node is reached;
     # the walk also learns each node's parent
-    size = len(tree.nodes)
     walk, parent_of = [0], [None] * size
     for i in walk:
-        for c in tree.nodes[i].children:
+        for c in kids_of[i]:
             if not (isinstance(c, int) and 0 <= c < size):
                 bad(i, f"child {c!r} names a node outside 0..{size - 1}")
             elif c == 0 or parent_of[c] is not None:
@@ -275,16 +311,14 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     if violations:
         return MssReport(False, violations)
 
-    root = tree.nodes[0].position
-    if root.searchers or root.territory != everything:
+    if xs[0] or rs[0] != everything:
         bad(0, "root is not (empty, V)")
     if size > n * n + 1:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
-    for i, node in enumerate(tree.nodes):
-        if node.parent != parent_of[i]:
-            bad(i, f"parent field is {node.parent!r}, not {parent_of[i]!r}")
-        x, r = node.position.searchers, node.position.territory
+    for i, (x, r, kids, parent) in enumerate(zip(xs, rs, kids_of, tree._parents)):
+        if parent != parent_of[i]:
+            bad(i, f"parent field is {parent!r}, not {parent_of[i]!r}")
         if not x.isdisjoint(r):
             bad(i, "searchers and territory overlap")
         if len(x) > k:
@@ -296,15 +330,13 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             bad(i, "territory is not a union of X-flaps")
             continue
 
-        if not node.children:
+        if not kids:
             if r:
                 bad(i, "incomplete leaf (territory nonempty)")
             continue
 
-        kids = [tree.nodes[c].position for c in node.children]
         if len(kids) == 1:
-            (child,) = kids
-            cx, cr = child.searchers, child.territory
+            cx, cr = xs[kids[0]], rs[kids[0]]
             if cx < x and cr == r:
                 pass  # case (a): shrink
             elif cx > x and cx <= x | r and cr == r - cx:
@@ -312,8 +344,8 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             else:
                 bad(i, "single child matches neither shrink nor grow")
         else:
-            child_rs = [c.territory for c in kids]
-            if any(c.searchers != x for c in kids):
+            child_rs = [rs[c] for c in kids]
+            if any(xs[c] != x for c in kids):
                 bad(i, "split children must keep the same searchers")
             elif set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
                 bad(i, "split children are not exactly the X-flaps of R")

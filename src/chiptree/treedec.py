@@ -151,19 +151,16 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
         report = validate_mss(g, tree, tree.searchers)
         if not report.ok:
             raise DomainError(f"invalid search strategy: {report.first().reason}")
+    kids_of, xs = tree._children, tree._xs
     order = []
     stack = [tree.root]
     while stack:
         i = stack.pop()
         order.append(i)
-        stack.extend(reversed(tree.nodes[i].children))
+        stack.extend(reversed(kids_of[i]))
     new_id = {old: new for new, old in enumerate(order)}
-    bags = [tree.nodes[i].position.searchers for i in order]
-    edges = [
-        (new_id[i], new_id[c])
-        for i in order
-        for c in tree.nodes[i].children
-    ]
+    bags = [xs[i] for i in order]
+    edges = [(new_id[i], new_id[c]) for i in order for c in kids_of[i]]
     return TreeDecomposition(bags, edges)
 
 
@@ -342,17 +339,60 @@ class RefinementMap(FrozenRecord):
         return RefinementMap({v: v for v in range(n)}, {}, {})
 
     def check(self, g_original: MultiGraph, g_refined: MultiGraph) -> None:
-        classified = set(self.original) | set(self.subdivision) | set(self.added_leaves)
-        if classified != set(range(g_refined.n)):
-            raise DomainError("refinement map does not classify every refined vertex")
-        if len(self.original) != g_original.n or \
-                sorted(self.original.values()) != list(range(g_original.n)):
+        """Raise ``DomainError`` unless g_refined is the refinement of
+        g_original that this map describes, edge by edge.
+
+        An original edge (u, w) of multiplicity m stands for m copies,
+        numbered 0..m-1.  Each copy is one refined edge, or, if subdivided,
+        the path from u through its subdivision vertices in order of
+        position to w.  Each added leaf hangs from its anchor by one edge.
+        """
+        original, subdivision, leaves = self.original, self.subdivision, self.added_leaves
+        classified = set(original) | set(subdivision) | set(leaves)
+        if classified != set(range(g_refined.n)) or \
+                len(original) + len(subdivision) + len(leaves) != g_refined.n:
+            raise DomainError("refinement map does not classify every refined "
+                              "vertex exactly once")
+        if len(original) != g_original.n or \
+                sorted(original.values()) != list(range(g_original.n)):
             raise DomainError("original vertices must biject with V(G)")
         n = g_original.n
-        for v, (u, w, _copy, _pos) in self.subdivision.items():
+        paths: dict[tuple[int, int, int], dict[int, int]] = {}
+        for v, (u, w, copy, pos) in subdivision.items():
             if not 0 <= u < w < n:
                 raise DomainError(f"subdivision vertex {v} sits on edge ({u},{w}), "
                                   f"which needs 0 <= u < w < {n}")
+            m = g_original.multiplicity(u, w)
+            if not 0 <= copy < m:
+                raise DomainError(f"subdivision vertex {v} sits on copy {copy} of "
+                                  f"edge ({u},{w}), which has multiplicity {m}")
+            if paths.setdefault((u, w, copy), {}).setdefault(pos, v) != v:
+                raise DomainError(f"subdivision vertex {v} repeats position {pos} "
+                                  f"on copy {copy} of edge ({u},{w})")
+
+        expected: dict[tuple[int, int], int] = {}
+
+        def add(a: int, b: int, m: int = 1) -> None:
+            edge = (a, b) if a < b else (b, a)
+            expected[edge] = expected.get(edge, 0) + m
+
+        at = {o: v for v, o in original.items()}
+        for (u, w), m in g_original._mult.items():
+            copies = [paths.get((u, w, copy)) for copy in range(m)]
+            whole = copies.count(None)
+            if whole:
+                add(at[u], at[w], whole)
+            for path in filter(None, copies):
+                chain = [at[u], *(path[pos] for pos in sorted(path)), at[w]]
+                for a, b in zip(chain, chain[1:]):
+                    add(a, b)
+        for leaf, anchor in leaves.items():
+            add(leaf, anchor)
+        for edge in sorted(expected.keys() | g_refined._mult.keys()):
+            want, got = expected.get(edge, 0), g_refined._mult.get(edge, 0)
+            if want != got:
+                raise DomainError(f"the refined graph has {got} edges {edge}, "
+                                  f"where the refinement map describes {want}")
 
     def collapse(self, v: int) -> Optional[int]:
         """Original vertex standing in for refined vertex v, or None for leaves."""
@@ -376,6 +416,12 @@ def contract_refinement(g_original: MultiGraph, g_refined: MultiGraph,
     report = validate_treedec(g_refined, td)
     if not report.ok:
         raise DomainError(f"invalid decomposition of the refinement: {report.violations[0]}")
+    return _contract(td, rmap)
+
+
+def _contract(td: TreeDecomposition, rmap: RefinementMap) -> TreeDecomposition:
+    """Unchecked kernel of ``contract_refinement``: the caller has checked
+    the map and knows td is a valid decomposition of the refinement."""
     bags = []
     for bag in td.bags:
         new_bag = {c for c in map(rmap.collapse, bag) if c is not None}

@@ -222,6 +222,22 @@ class TestMorphismTd:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "subdivision vertex 1" in err
 
+    @pytest.mark.parametrize("text, reason", [
+        ("orig 0 0\norig 2 1\nsub 1 0 1 0 0\nsub 3 0 1 2 0\n",
+         "copy 2 of edge (0,1), which has multiplicity 2"),
+        ("orig 0 0\norig 2 1\nsub 1 0 1 0 0\nleaf 3 2\n", "where the refinement map"),
+    ], ids=["copy-beyond-multiplicity", "leaf-on-a-cycle"])
+    def test_map_that_does_not_refine_the_original_fails(
+            self, capsys, tmp_path, fold_args, text, reason):
+        rp = tmp_path / "r.map"
+        rp.write_text(text)
+        code, out, err = run(capsys, *fold_args,
+                             "--original", str(tmp_path / "banana.gr"),
+                             "--refinement", str(rp))
+        assert code == 1 and out == ""
+        assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+        assert reason in err
+
     def test_refinement_without_original_fails(self, capsys, tmp_path, fold_args):
         # the map file need not exist: the option pair is refused first
         code, out, err = run(capsys, *fold_args,

@@ -11,7 +11,7 @@ from chiptree import (
     effective_divisors,
     has_positive_rank,
 )
-from chiptree import gonality
+from chiptree import divisors, gonality
 from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
 from chiptree.gonality import _lex_ascending
 
@@ -54,16 +54,21 @@ class TestPositiveRank:
             assert has_positive_rank(g, d) == rank_oracle(g, d)
 
 
+def grid_with_a_chip_per_row(k):
+    """The k x k grid and the divisor with one chip at the start of each row."""
+    edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    edges += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    return MultiGraph(k * k, edges), Divisor(tuple(1 if v % k == 0 else 0
+                                                  for v in range(k * k)))
+
+
 def test_rank_test_skips_every_vertex_that_received_a_chip(monkeypatch):
     """Operation-count guard on the 20 x 20 grid with one chip per row: a
     vertex that receives a chip during one reduction needs no reduction of
     its own.  Without that marking the test runs one reduction per chipless
     vertex, 380 here; with it, 19."""
     k = 20
-    edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
-    edges += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
-    g = MultiGraph(k * k, edges)
-    d = Divisor(tuple(1 if v % k == 0 else 0 for v in range(k * k)))
+    g, d = grid_with_a_chip_per_row(k)
     calls = [0]
     reduce = gonality._reduce
 
@@ -74,6 +79,33 @@ def test_rank_test_skips_every_vertex_that_received_a_chip(monkeypatch):
     monkeypatch.setattr(gonality, "_reduce", counting)
     assert has_positive_rank(g, d)
     assert calls[0] <= 2 * k
+
+
+def test_rank_test_continues_from_the_last_reduction(monkeypatch):
+    """Operation-count guard on the 20 x 20 grid with one chip per row: each
+    reduction starts from the chips the previous one left, so the one
+    toward column j fires the chips once, from column j - 1, instead of
+    replaying j rounds from column 0 (190 Dhar rounds in all, not 19)."""
+    k = 20
+    g, d = grid_with_a_chip_per_row(k)
+    left = [d.chips]
+    rounds = [0]
+    reduce, burn = gonality._reduce, divisors._burn
+
+    def continuing(adj, chips, q, **kwargs):
+        assert tuple(chips) == left[-1]
+        reduce(adj, chips, q, **kwargs)
+        left.append(tuple(chips))
+
+    def counting(*args):
+        rounds[0] += 1
+        return burn(*args)
+
+    monkeypatch.setattr(gonality, "_reduce", continuing)
+    monkeypatch.setattr(divisors, "_burn", counting)
+    assert has_positive_rank(g, d)
+    assert len(left) == k
+    assert rounds[0] <= 2 * k
 
 
 class TestEnumeration:

@@ -17,6 +17,7 @@ from chiptree import (
     stable_treedec,
     validate_treedec,
 )
+from chiptree import treedec
 from chiptree.fixtures import banana_graph, c4_to_p3_morphism, path_graph
 from chiptree.treedec import RefinementMap, treewidth_bruteforce
 
@@ -202,6 +203,29 @@ def test_morphism_path_agrees_with_divisor_path(case):
 
 
 class TestStableTreedec:
+    def test_trusts_the_decomposition_it_built(self, monkeypatch):
+        """Operation-count guard: the decomposition ``morphism_to_treedec``
+        just built is contracted without a second ``validate_treedec``, and
+        the graph's edge list is read once."""
+        calls = {"validate_treedec": 0, "edge_list": 0}
+        validate = treedec.validate_treedec
+        edge_list = MultiGraph.edge_list
+
+        def counting_validate(*args):
+            calls["validate_treedec"] += 1
+            return validate(*args)
+
+        def counting_edge_list(g):
+            calls["edge_list"] += 1
+            return edge_list.fget(g)
+
+        monkeypatch.setattr(treedec, "validate_treedec", counting_validate)
+        monkeypatch.setattr(MultiGraph, "edge_list", property(counting_edge_list))
+        g, t, f = c4_to_p3_morphism()
+        td = stable_treedec(g, g, RefinementMap.identity(g.n), t, f)
+        assert calls == {"validate_treedec": 0, "edge_list": 2}  # g once, t once
+        assert validate(g, td).ok
+
     def test_banana_via_subdivided_refinement(self):
         # refine the 2-banana into C4, fold the C4, contract back
         banana = banana_graph(2)

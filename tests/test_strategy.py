@@ -1,6 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiptree import (
     Divisor,
@@ -13,11 +17,12 @@ from chiptree import (
     has_positive_rank,
     mss_to_treedec,
     validate_mss,
+    validate_treedec,
 )
 from chiptree import divisors, gonality
-from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssViolation
+from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssNode, MssTree, MssViolation
 
-from conftest import edit_node, random_connected_multigraph
+from conftest import edit_node, multigraphs, random_connected_multigraph
 from chiptree.gonality import effective_divisors
 
 # Positions of the golden strategy tree for the 7-vertex example, as
@@ -359,3 +364,53 @@ def test_dot_export_mentions_every_position(fixture_graph, fixture_divisor):
     dot = tree.to_dot(fixture_graph)
     assert dot.count(" -> ") == len(tree.nodes) - 1
     assert "bcg | ef" in dot
+
+
+def test_pipeline_makes_no_node_records(monkeypatch, fixture_graph, fixture_divisor):
+    """Operation-count guard on the golden fixture: rank test, strategy,
+    decomposition and validation read the tree's columns and construct no
+    ``Position`` or ``MssNode`` (14 of each when every node was a record);
+    ``nodes`` builds them on first read, once."""
+    made = {Position: 0, MssNode: 0}
+    for cls in made:
+        def counting(self, *args, _cls=cls, _init=cls.__init__):
+            made[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    g, d = fixture_graph, fixture_divisor
+    assert has_positive_rank(g, d)
+    tree = build_mss(g, d)
+    assert validate_treedec(g, mss_to_treedec(g, tree)).ok
+    assert made == {Position: 0, MssNode: 0}
+    assert tree.nodes is tree.nodes
+    assert made == {Position: 14, MssNode: 14}
+
+
+@st.composite
+def positive_rank_instances(draw):
+    """A connected multigraph and an effective divisor of positive rank: one
+    of those of a drawn degree up to 3, or one chip on every vertex."""
+    g = draw(multigraphs().filter(lambda g: g.is_connected()))
+    degree = draw(st.integers(min_value=1, max_value=3))
+    positive = [d for d in effective_divisors(g.n, degree) if has_positive_rank(g, d)]
+    positive.append(Divisor((1,) * g.n))
+    return g, positive[draw(st.integers(min_value=0, max_value=len(positive) - 1))]
+
+
+@given(positive_rank_instances())
+@settings(max_examples=80, deadline=None)
+def test_columns_round_trip_through_records(instance):
+    """A tree built into columns equals its copy made from its records, and
+    copies by pickle or deepcopy, which are validated, not trusted."""
+    g, d = instance
+    tree = build_mss(g, d)
+    remade = MssTree(tree.nodes, tree.searchers)
+    assert remade == tree and hash(remade) == hash(tree)
+    assert remade.to_dot(g) == tree.to_dot(g)
+    assert remade.max_searchers_used() == tree.max_searchers_used()
+    for other in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert other == tree and other._built_for is None
+    assert validate_mss(g, tree, d.degree + 1).ok
+    trusted, checked = mss_to_treedec(g, tree), mss_to_treedec(g, remade)
+    assert (trusted.bags, trusted.tree_edges) == (checked.bags, checked.tree_edges)

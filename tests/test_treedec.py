@@ -405,6 +405,64 @@ class TestContractRefinement:
         with pytest.raises(DomainError, match="subdivision vertex 2"):
             contract_refinement(banana, c4, td, rmap)
 
+    def test_graph_that_is_no_refinement_rejected(self):
+        # the path 0-1-2 under the identity map lacks the triangle's edge
+        # (0,2); contracted, its bags {0,1}, {1,2} would not cover that edge
+        triangle = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+        path = path_graph(3)
+        td = TreeDecomposition([frozenset({0, 1}), frozenset({1, 2})], [(0, 1)])
+        with pytest.raises(DomainError, match=r"0 edges \(0, 2\)"):
+            contract_refinement(triangle, path, td, RefinementMap.identity(3))
+
+    def test_copy_beyond_the_multiplicity_rejected(self):
+        banana = banana_graph(2)
+        c4 = MultiGraph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        rmap = RefinementMap({0: 0, 1: 1}, {2: (0, 1, 0, 0), 3: (0, 1, 2, 0)}, {})
+        td = TreeDecomposition(
+            [frozenset({0, 2, 1}), frozenset({0, 1, 3})], [(0, 1)]
+        )
+        with pytest.raises(DomainError, match="copy 2 of edge \\(0,1\\), which has "
+                                              "multiplicity 2"):
+            contract_refinement(banana, c4, td, rmap)
+
+    @pytest.mark.parametrize("subdivision, leaves", [
+        ({2: (0, 1, 0, 1), 3: (0, 1, 0, 0)}, {}),   # positions reversed
+        ({2: (0, 1, 0, 0), 3: (0, 1, 0, 0)}, {}),   # a position repeated
+        ({2: (0, 1, 0, 0)}, {3: 0}),                # a leaf inside the path
+    ], ids=["reversed", "repeated", "leaf"])
+    def test_path_not_as_the_map_describes_rejected(self, subdivision, leaves):
+        # the single edge 0-1 subdivided twice: 0 - 2 - 3 - 1
+        refined = MultiGraph(4, [(0, 2), (2, 3), (3, 1)])
+        rmap = RefinementMap({0: 0, 1: 1}, subdivision, leaves)
+        td = treedec_by_elimination(refined)
+        with pytest.raises(DomainError):
+            contract_refinement(path_graph(2), refined, td, rmap)
+
+    def test_whole_and_subdivided_copies_together(self):
+        # the 3-banana with copy 1 subdivided: two whole edges and a path
+        refined = MultiGraph(3, [(0, 1), (0, 1), (0, 2), (2, 1)])
+        rmap = RefinementMap({0: 0, 1: 1}, {2: (0, 1, 1, 0)}, {})
+        out = contract_refinement(banana_graph(3), refined,
+                                  treedec_by_elimination(refined), rmap)
+        assert validate_treedec(banana_graph(3), out).ok
+        whole_only = MultiGraph(3, [(0, 1), (0, 2), (2, 1)])
+        with pytest.raises(DomainError, match="1 edges \\(0, 1\\).*describes 2"):
+            contract_refinement(banana_graph(3), whole_only,
+                                treedec_by_elimination(whole_only), rmap)
+
+    def test_checks_a_foreign_decomposition_once(self, monkeypatch):
+        calls = [0]
+        validate = treedec.validate_treedec
+
+        def counting(*args):
+            calls[0] += 1
+            return validate(*args)
+
+        monkeypatch.setattr(treedec, "validate_treedec", counting)
+        g = path_graph(3)
+        contract_refinement(g, g, treedec_by_elimination(g), RefinementMap.identity(3))
+        assert calls[0] == 1
+
 
 @given(multigraphs())
 @settings(max_examples=120, deadline=None)
