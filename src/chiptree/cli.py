@@ -134,15 +134,7 @@ def cmd_mss(args) -> int:
     trace, flush = _trace_mss(g, args.trace)
     tree = build_mss(g, d, trace=trace)
     flush()
-    if args.format == "dot":
-        _emit(tree.to_dot(g), args.out)
-    else:
-        lines = [f"searchers: {tree.searchers}"]
-        for i, node in enumerate(tree.nodes):
-            parent = node.parent if node.parent is not None else "-"
-            lines.append(f"node {i} parent {parent} {node.move} "
-                         f"({node.position.label(g)})")
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit(tree.to_dot(g) if args.format == "dot" else tree.to_text(g), args.out)
     return EXIT_OK
 
 

@@ -214,22 +214,16 @@ def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u) -> None:
 
 
 def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
-            x: Optional[list[int]] = None, until_chip_on_q: bool = False,
-            covered: Optional[list[bool]] = None) -> None:
+            x: list[int]) -> None:
     """q-reduce chips in place with batched Dhar firings; add the script to x.
 
     Each round burns from q with ``_burn`` and fires the unburnt set U
     straight from its ``room``, so U is never built as a set.
-    With ``until_chip_on_q`` it returns as soon as q holds a chip: q never
-    fires, so its count only grows and the reduced divisor keeps that chip.
-    With ``covered``, every vertex that receives chips is marked in it.
     """
     n = len(chips)
     degree = sum(chips)
     bound = max(1, degree * n)
     for _ in range(bound + 1):
-        if until_chip_on_q and chips[q]:
-            return
         room, burnt = _burn(adj, chips, q)
         if burnt == n:
             return
@@ -242,13 +236,10 @@ def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,
         for v, left in enumerate(room):
             if left >= 0:
                 chips[v] -= (chips[v] - left) * times
-                if x is not None:
-                    x[v] += times
+                x[v] += times
                 for w, m in adj[v]:
                     if room[w] < 0:
                         chips[w] += m * times
-                        if covered is not None:
-                            covered[w] = True
     raise InternalError(
         f"q_reduce did not converge within {bound} iterations; this is a bug"
     )

@@ -6,8 +6,8 @@ import math
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
-from .divisors import Divisor, _reduce, _require_connected, _require_divisor
-from .errors import BudgetError, DomainError
+from .divisors import Divisor, _burn, _require_connected, _require_divisor
+from .errors import BudgetError, DomainError, InternalError
 from .graph import FrozenRecord, MultiGraph
 
 DEFAULT_BUDGET = 5_000_000
@@ -20,29 +20,49 @@ class GonalityResult(FrozenRecord):
 def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     """True iff the q-reduced form of d has a chip on q, for every vertex q.
 
-    q never fires while d is q-reduced, so the chips on q only grow, and a
-    reduction stops as soon as q receives a chip.  Every divisor a legal
-    reduction passes through is effective and equivalent to d.  So each
-    reduction starts from the chips the previous one left, and a q that
-    holds a chip in d, or received one in an earlier reduction of this
-    test, passes without a reduction of its own.
+    Each q runs Dhar rounds: burn from q, then fire the unburnt set U once,
+    straight from the burn's room.  q never fires while d is q-reduced, so
+    the chips on q only grow, and q passes at its first chip; a round that
+    burns everything leaves d q-reduced with q empty.  Every divisor a
+    legal firing reaches is effective and equivalent to d.  So each q
+    starts from the chips the previous one left, and a q that holds a chip
+    in d, or received one for an earlier q of this test, passes without a
+    round of its own.  Each round lowers the distance to the q-reduced form
+    by one, so deg(d) * n rounds per q suffice.
 
     The immutable graph remembers the last divisor it accepted, so the
-    usual "test, then ``build_mss``" sequence reduces only once.  One entry
+    usual "test, then ``build_mss``" sequence tests only once.  One entry
     is enough for that and keeps the memory flat.
     """
     _require_divisor(g, d)
     _require_connected(g)
     if g._positive_rank == d.chips:
         return True
+    adj, n = g._adj, g.n
     chips = list(d.chips)
     covered = [c > 0 for c in chips]
-    for q in range(g.n):
+    bound = max(1, sum(chips) * n)
+    for q in range(n):
         if covered[q]:
             continue
-        _reduce(g._adj, chips, q, until_chip_on_q=True, covered=covered)
-        if not chips[q]:
-            return False
+        for _ in range(bound + 1):
+            room, burnt = _burn(adj, chips, q)
+            if burnt == n:
+                return False
+            for v, left in enumerate(room):
+                if left >= 0:
+                    chips[v] = left
+                    for w, m in adj[v]:
+                        if room[w] < 0:
+                            chips[w] += m
+                            covered[w] = True
+            if covered[q]:
+                break
+        else:
+            raise InternalError(
+                f"the rank test at q={q} did not finish within {bound} rounds; "
+                "this is a bug"
+            )
     g._positive_rank = d.chips
     return True
 

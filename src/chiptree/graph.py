@@ -9,6 +9,7 @@ structure, so degree and cut computations stay exact integer arithmetic.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress, count
 from typing import Iterable, Optional, Sequence
 
 from .errors import GraphError
@@ -107,10 +108,13 @@ class MultiGraph:
             adj[u].append((v, m))
             adj[v].append((u, m))
         self._adj = [tuple(pairs) for pairs in adj]
-        # one-entry memos: connectivity, and the last divisor that
-        # ``gonality.has_positive_rank`` accepted
+        # memos: connectivity, the last divisor that
+        # ``gonality.has_positive_rank`` accepted, and ``neighbour_masks``.
+        # Every attribute is set here, as attribute reads slow down on an
+        # instance that gains one later.
         self._connected: Optional[bool] = None
         self._positive_rank: Optional[tuple[int, ...]] = None
+        self._neighbour_masks: Optional[list[int]] = None
         if labels is not None:
             labels = list(labels)
             if len(labels) != n:
@@ -149,6 +153,15 @@ class MultiGraph:
         """Neighbors of v with multiplicities."""
         return dict(self._adj[v])
 
+    @property
+    def neighbour_masks(self) -> list[int]:
+        """Per vertex, the bitmask of its neighbours (bit w for neighbour w),
+        built on first read and shared by every caller; read only."""
+        if self._neighbour_masks is None:
+            self._neighbour_masks = [sum(1 << w for w, _ in pairs)
+                                     for pairs in self._adj]
+        return self._neighbour_masks
+
     def degree(self, v: int) -> int:
         return sum(m for _, m in self._adj[v])
 
@@ -171,7 +184,7 @@ class MultiGraph:
         return self.labels[v] if self.labels else str(v)
 
     def set_name(self, s: Iterable[int]) -> str:
-        return "".join(self.vertex_name(v) for v in sorted(s)) or "{}"
+        return "".join(map(self.vertex_name, sorted(s))) or "{}"
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, m={self.num_edges})"
@@ -239,26 +252,70 @@ class MultiGraph:
         """The X-flaps contained in r; r must be a union of X-flaps.
 
         Same result as filtering ``flaps(x)`` by ``flap <= r``, ordered by
-        smallest member, but the search starts from r and stops as soon as
-        it leaves r, so it costs the volume of r, not of the whole graph.
-        Vertices of r that lie in X or outside 0..n-1 belong to no flap.
+        smallest member, but the search runs on bitmasks inside r, so it
+        costs the volume of r, not of the whole graph.  Vertices of r that
+        lie in X or outside 0..n-1 belong to no flap.
         """
-        rset = frozenset(r)
-        seen = set(x)
-        adj = self._adj
         n = self.n
-        out = []
-        for start in sorted(rset):
-            if start in seen or not 0 <= start < n:
-                continue
-            seen.add(start)
-            comp = [start]
-            for v in comp:
-                for w, _ in adj[v]:
-                    if w not in seen:
-                        if w not in rset:
-                            raise GraphError("r is not a union of X-flaps")
-                        seen.add(w)
-                        comp.append(w)
-            out.append(frozenset(comp))
-        return out
+        xm, rm = (_mask((v for v in vs if isinstance(v, int) and 0 <= v < n), n)
+                  for vs in (x, r))
+        rm &= ~xm
+        nbr = self.neighbour_masks
+        if _around(nbr, rm) & ~(rm | xm):
+            raise GraphError("r is not a union of X-flaps")
+        return [_vertices(flap) for flap in _components(nbr, rm)]
+
+
+# -- bitmask kernels -------------------------------------------------------
+# A vertex set as an int with bit v for vertex v, as in ``neighbour_masks``.
+# The strategy stores its territories this way: an int costs n/8 bytes and
+# the cyclic garbage collector does not track it.
+
+def _mask(vs: Iterable, n: int) -> int:
+    """Bit v for each v in vs; -1, which masks no vertex set, if vs names
+    anything but an int in 0..n-1."""
+    mask = 0
+    for v in vs:
+        if not (isinstance(v, int) and 0 <= v < n):
+            return -1
+        mask |= 1 << v
+    return mask
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask: int) -> bytes:
+    """The binary digits of a non-negative mask, lowest first, as 0/1
+    bytes: ``compress(vertices, _digits(mask))`` lists its vertices in
+    ascending order in one pass."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+
+
+def _vertices(mask: int) -> VertexSet:
+    """The vertex set of a non-negative mask."""
+    return frozenset(compress(count(), _digits(mask)))
+
+
+def _around(nbr: list[int], s: int) -> int:
+    """Every neighbour of a vertex of s; N(s) is ``_around(nbr, s) & ~s``."""
+    around = 0
+    while s:
+        low = s & -s
+        around |= nbr[low.bit_length() - 1]
+        s ^= low
+    return around
+
+
+def _components(nbr: list[int], r: int) -> list[int]:
+    """The connected components of the subgraph induced by r, ordered by
+    smallest member; a search grows each one a layer at a time."""
+    comps = []
+    while r:
+        comp = frontier = r & -r
+        while frontier:
+            frontier = _around(nbr, frontier) & r & ~comp
+            comp |= frontier
+        comps.append(comp)
+        r &= ~comp
+    return comps

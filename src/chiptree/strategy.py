@@ -10,12 +10,14 @@ and advancing into the territory along a fireable set.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Iterable, Iterator, Optional
 
-from .divisors import Divisor, _burn, _fire, _require_vertices
-from .errors import DomainError, GraphError, InternalError
+from .divisors import Divisor, _burn, _require_vertices
+from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
-from .graph import FrozenRecord, MultiGraph, Record, VertexSet
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around,
+                    _components, _digits, _mask, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
 SHRINK = "shrink"  # case (a), construction step II
@@ -54,12 +56,14 @@ class MssTree(FrozenRecord):
     """Rooted strategy tree; node 0 is the root (empty X, full territory).
 
     The nodes are stored as columns, one list each of searcher sets,
-    territories, moves, parents and children lists.  ``nodes`` builds the
-    ``MssNode`` records from them on first read and keeps them; a tree made
-    from records keeps those.  Equality, hash, repr and pickle go through
-    ``nodes``.  ``_built_for`` is the
-    graph ``build_mss`` built the tree for, and None on every tree made any
-    other way, copies and unpickled trees included.
+    territories, moves, parents and children lists.  A territory is a
+    bitmask (``graph._mask``), and -1 if a record named something other
+    than an int below the size of the root's territory in it.
+    ``nodes`` builds the ``MssNode`` records from the columns on first read
+    and keeps them; a tree made from records keeps those.  Equality, hash,
+    repr and pickle go through ``nodes``.  ``_built_for`` is the graph
+    ``build_mss`` built the tree for, and None on every tree made any other
+    way, copies and unpickled trees included.
     """
 
     __slots__ = ("searchers", "_xs", "_rs", "_moves", "_parents", "_children",
@@ -69,9 +73,12 @@ class MssTree(FrozenRecord):
     def __init__(self, nodes: Iterable[MssNode], searchers: int):
         nodes = tuple(nodes)
         positions = [node.position for node in nodes]
+        # a strategy's root holds all of V, so no vertex of a valid tree
+        # reaches the size of the root's territory
+        n = len(positions[0].territory) if positions else 0
         self._fill(searchers,
                    [p.searchers for p in positions],
-                   [p.territory for p in positions],
+                   [_mask(p.territory, n) for p in positions],
                    [node.move for node in nodes],
                    [node.parent for node in nodes],
                    [node.children for node in nodes],
@@ -85,7 +92,8 @@ class MssTree(FrozenRecord):
     @property
     def nodes(self) -> tuple[MssNode, ...]:
         if self._nodes is None:
-            positions = map(Position, self._xs, self._rs)
+            territories = map(frozenset, self._territories())
+            positions = map(Position, self._xs, territories)
             nodes = tuple(map(MssNode, positions, self._moves, self._parents,
                               self._children))
             object.__setattr__(self, "_nodes", nodes)
@@ -98,12 +106,33 @@ class MssTree(FrozenRecord):
     def max_searchers_used(self) -> int:
         return max(map(len, self._xs))
 
+    def _territories(self) -> Iterator[Iterable[int]]:
+        """Each node's territory, read from its mask one node at a time,
+        with one int object per vertex for the whole tree; a territory
+        stored as -1 is read from the record it came from."""
+        vertex = list(range(max(map(int.bit_length, self._rs), default=0)))
+        for i, r in enumerate(self._rs):
+            yield (self._nodes[i].position.territory if r < 0
+                   else compress(vertex, _digits(r)))
+
+    def _labels(self, g: MultiGraph) -> Iterator[str]:
+        """Each node's "X | R" label."""
+        for x, territory in zip(self._xs, self._territories()):
+            yield f"{g.set_name(x)} | {g.set_name(territory)}"
+
+    def to_text(self, g: MultiGraph) -> str:
+        """The searcher count, then per node its parent, move and label."""
+        lines = [f"searchers: {self.searchers}"]
+        for i, (label, parent, move) in enumerate(
+                zip(self._labels(g), self._parents, self._moves)):
+            parent = "-" if parent is None else parent
+            lines.append(f"node {i} parent {parent} {move} ({label})")
+        return "\n".join(lines) + "\n"
+
     def to_dot(self, g: MultiGraph) -> str:
         lines = ["digraph mss {", "  node [shape=record];"]
-        for i, (x, r) in enumerate(zip(self._xs, self._rs)):
-            lines.append(
-                f'  n{i} [label="{g.set_name(x)} | {g.set_name(r)}"];'
-            )
+        for i, label in enumerate(self._labels(g)):
+            lines.append(f'  n{i} [label="{label}"];')
         for i, kids in enumerate(self._children):
             for c in kids:
                 tag = STEP_LABEL.get(self._moves[c], "")
@@ -129,30 +158,41 @@ class MssReport(Record):
 
 def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
                     r: VertexSet) -> tuple[Divisor, VertexSet]:
-    """Find d'' ~ d and a fireable set meeting X but avoiding the flap r."""
+    """Find d'' ~ d and a fireable set meeting X but avoiding the flap r.
+
+    r must be one component of G - X that holds no chip of d, as in step
+    III: then no firing reaches r, so the search ends (README).
+    """
     if not r:
         raise DomainError("territory flap must be nonempty")
     _require_vertices(g, x, "searcher")
     _require_vertices(g, r, "territory vertex")
     if not has_positive_rank(g, d):  # also checks d and connectivity
         raise DomainError("divisor does not have positive rank")
+    xm, rm = _mask(x, g.n), _mask(r, g.n)
+    nbr = g.neighbour_masks
+    if xm & rm or _around(nbr, rm) & ~(rm | xm) or len(_components(nbr, rm)) > 1:
+        raise DomainError("territory is not one component of G - X")
+    if any(d[v] for v in r):
+        raise DomainError("divisor has chips on the territory")
     chips = list(d.chips)
-    u = _good_firing_set(g._adj, chips, x, r)
-    return Divisor(tuple(chips)), frozenset(u)
+    u, _ = _good_firing_set(g._adj, chips, x, rm)
+    return Divisor(tuple(chips)), _vertices(u)
 
 
 def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
-                     x: VertexSet, r: VertexSet) -> set[int]:
+                     x: VertexSet, r: int) -> tuple[int, list[int]]:
     """Unchecked kernel of ``good_firing_set``: advance chips in place to d''
-    and return its fireable set U.
+    and return its fireable set U as a mask, with the burn's room.
 
-    Repeatedly burns from the smallest vertex of r, firing the unburnt set
-    U once while it stays disjoint from X.  As in ``divisors._reduce``, U
-    is read from the burn's ``room`` and fired in the same loop, and it is
-    built as a set only on the round that returns it.  Termination within
-    deg(d) * n rounds follows from the distance-decrease argument.
+    Repeatedly burns from the smallest vertex of the territory mask r,
+    firing the unburnt set U once while it stays disjoint from X.  As in
+    the rank test, U is read from the burn's ``room`` and fired from it,
+    and it is built as a mask only on the round that returns it.
+    Termination within deg(d) * n rounds follows from the
+    distance-decrease argument.
     """
-    q = min(r)
+    q = (r & -r).bit_length() - 1
     n = len(chips)
     bound = max(1, sum(chips) * n)
     for _ in range(bound + 1):
@@ -164,21 +204,29 @@ def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
             )
         for s in x:
             if room[s] >= 0:
-                u = {v for v, left in enumerate(room) if left >= 0}
-                if not u.isdisjoint(r):
+                u = 0
+                for v, left in enumerate(room):
+                    if left >= 0:
+                        u |= 1 << v
+                if u & r:
                     raise InternalError("fireable set meets the territory flap")
-                return u
-        # fire U once: v in U sends a chip along each edge into the fire
-        # and is left with room(v)
-        for v, left in enumerate(room):
-            if left >= 0:
-                chips[v] = left
-                for w, m in adj[v]:
-                    if room[w] < 0:
-                        chips[w] += m
+                return u, room
+        _fire_unburnt(adj, chips, room)
     raise InternalError(
         f"good_firing_set did not finish within {bound} iterations"
     )
+
+
+def _fire_unburnt(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
+                  room: list[int]) -> None:
+    """Fire the unburnt set U of a burn once, in place: v in U sends a chip
+    along each edge into the fire and is left with room(v)."""
+    for v, left in enumerate(room):
+        if left >= 0:
+            chips[v] = left
+            for w, m in adj[v]:
+                if room[w] < 0:
+                    chips[w] += m
 
 
 def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
@@ -186,22 +234,25 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
 
     ``trace``, if given, collects (step, position, detail) tuples describing
     the construction for auditing.  The rank test is the one input check;
-    the loop then runs the unchecked ``_good_firing_set`` kernel.
+    the loop then runs the unchecked ``_good_firing_set`` kernel.  Flaps,
+    N(R) and grows are computed on bitmasks (``g.neighbour_masks``), and
+    the tree stores each territory as one.
     """
     if not has_positive_rank(g, d):
         raise DomainError("divisor does not have positive rank")
 
-    adj = g._adj
-    everything = frozenset(range(g.n))
+    adj, nbr = g._adj, g.neighbour_masks
     supp = d.support
+    supp_mask = _mask(supp, g.n)
+    everything = (1 << g.n) - 1
     # the tree's columns: the root (empty, V), then its child (supp(D), V - supp(D))
     xs = [frozenset(), supp]
-    rs = [everything, everything - supp]
+    rs = [everything, everything & ~supp_mask]
     moves = [ROOT, GROW]
     parents: list[Optional[int]] = [None, 0]
     children: list[list[int]] = [[1], []]
 
-    def add_node(parent: int, x: VertexSet, r: VertexSet, move: str) -> int:
+    def add_node(parent: int, x: VertexSet, r: int, move: str) -> int:
         idx = len(xs)
         xs.append(x)
         rs.append(r)
@@ -211,14 +262,15 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         children[parent].append(idx)
         return idx
 
-    # open positions with the chips of an effective D, X <= supp(D) and R
-    # disjoint from supp(D), and the first construction step that may
-    # apply; tuples, so that split siblings can share them.  A split child's
-    # R is one X-flap, so step I cannot apply to it; a step-II child's R is
-    # one flap of G - N(R) and its X is N(R), so it goes straight to step III.
-    pending: deque[tuple[int, tuple[int, ...], int]] = deque()
+    # open positions with X's mask, the chips of an effective D, X <= supp(D)
+    # and R disjoint from supp(D), and the first construction step that may
+    # apply; tuples, so that split siblings can share them.  R is a union of
+    # X-flaps, so N(R) <= X.  A split child's R is one X-flap, so step I
+    # cannot apply to it; a step-II child's R is one flap of G - N(R) and
+    # its X is N(R), so it goes straight to step III.
+    pending: deque[tuple[int, int, tuple[int, ...], int]] = deque()
     if rs[1]:
-        pending.append((1, d.chips, 1))
+        pending.append((1, supp_mask, d.chips, 1))
 
     rounds = 0
     max_rounds = g.n * g.n + 1
@@ -226,48 +278,54 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         rounds += 1
         if rounds > max_rounds:
             raise InternalError("construction exceeded the n^2 node bound")
-        i, chips_cur, step = pending.popleft()
+        i, xm, chips_cur, step = pending.popleft()
         x, r = xs[i], rs[i]
 
         if step == 1:
-            flaps = g.flaps_within(x, r)
+            flaps = _components(nbr, r)
             if len(flaps) >= 2:
                 # step I: split the territory into its flaps
                 if trace is not None:
-                    trace.append(("I", Position(x, r), flaps))
+                    trace.append(("I", Position(x, _vertices(r)),
+                                  list(map(_vertices, flaps))))
                 for flap in flaps:
-                    pending.append((add_node(i, x, flap, SPLIT), chips_cur, 2))
+                    pending.append((add_node(i, x, flap, SPLIT), xm, chips_cur, 2))
                 continue
 
         if step <= 2:
-            nr = g.neighborhood(r)
-            if nr < x:
+            # N(R) <= X, so N(R) is the searchers with a neighbour in R
+            nx = frozenset(s for s in x if nbr[s] & r)
+            if len(nx) < len(x):
                 # step II: retract searchers not bordering the territory
                 if trace is not None:
-                    trace.append(("II", Position(x, r), nr))
-                pending.append((add_node(i, nr, r, SHRINK), chips_cur, 3))
+                    trace.append(("II", Position(x, _vertices(r)), nx))
+                nr = _mask(nx, g.n)
+                pending.append((add_node(i, nx, r, SHRINK), nr, chips_cur, 3))
                 continue
 
         # step III: N(R) = X and R is a single flap; advance along a firing set
         chips = list(chips_cur)
-        u = _good_firing_set(adj, chips, x, r)
+        u, room = _good_firing_set(adj, chips, x, r)
         if trace is not None:
-            trace.append(("III", Position(x, r),
-                          (Divisor(tuple(chips)), frozenset(u))))
+            trace.append(("III", Position(x, _vertices(r)),
+                          (Divisor(tuple(chips)), _vertices(u))))
         # each mover s first grows X onto its neighbours in R, then leaves;
         # prev_r is always R - prev_x, so a grow that adds no vertex is no move
         prev_x, prev_r = x, r
         parent = i
-        for s in sorted(u & x):
-            xi = prev_x | g.neighbors_in(s, r)
-            if len(xi) > len(prev_x):
-                prev_r = r - xi
-                parent = add_node(parent, xi, prev_r, GROW)
-            prev_x = xi - {s}
+        for s in sorted(s for s in x if u >> s & 1):
+            grown = nbr[s] & r & ~xm
+            if grown:
+                xm |= grown
+                prev_x = prev_x | {w for w, _ in adj[s] if grown >> w & 1}
+                prev_r = r & ~xm
+                parent = add_node(parent, prev_x, prev_r, GROW)
+            xm &= ~(1 << s)
+            prev_x = prev_x - {s}
             parent = add_node(parent, prev_x, prev_r, SHRINK)
-        _fire(adj, chips, u)
+        _fire_unburnt(adj, chips, room)
         if prev_r:
-            pending.append((parent, tuple(chips), 1))
+            pending.append((parent, xm, tuple(chips), 1))
 
     tree = object.__new__(MssTree)
     tree._fill(d.degree + 1, xs, rs, moves, parents, children, None, g)
@@ -286,7 +344,7 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         violations.append(MssViolation(node, reason))
 
     n = g.n
-    everything = frozenset(range(n))
+    nbr = g.neighbour_masks
     xs, rs, kids_of = tree._xs, tree._rs, tree._children
     size = len(xs)
     if not size:
@@ -311,24 +369,31 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     if violations:
         return MssReport(False, violations)
 
-    if xs[0] or rs[0] != everything:
+    if xs[0] or rs[0] != (1 << n) - 1:
         bad(0, "root is not (empty, V)")
     if size > n * n + 1:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
-    for i, (x, r, kids, parent) in enumerate(zip(xs, rs, kids_of, tree._parents)):
+    # masks are -1 where a record named a non-vertex
+    xms = [_mask(x, n) for x in xs]
+    for i, (x, xm, r, kids, parent) in enumerate(
+            zip(xs, xms, rs, kids_of, tree._parents)):
         if parent != parent_of[i]:
             bad(i, f"parent field is {parent!r}, not {parent_of[i]!r}")
-        if not x.isdisjoint(r):
+        if xm < 0 or xm >> n or r < 0 or r >> n:
+            bad(i, f"searchers or territory name a vertex outside 0..{n - 1}")
+            continue
+        if xm & r:
             bad(i, "searchers and territory overlap")
         if len(x) > k:
             bad(i, f"|X|={len(x)} exceeds {k} searchers")
-        try:
-            # an empty territory, as after capture, has no flaps
-            flaps = g.flaps_within(x, r) if r else []
-        except GraphError:
+        # like g.flaps_within(x, r): territory vertices in X are in no flap,
+        # and an empty territory, as after capture, has none
+        free = r & ~xm
+        if _around(nbr, free) & ~(free | xm):
             bad(i, "territory is not a union of X-flaps")
             continue
+        flaps = _components(nbr, free)
 
         if not kids:
             if r:
@@ -336,10 +401,11 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             continue
 
         if len(kids) == 1:
-            cx, cr = xs[kids[0]], rs[kids[0]]
+            c = kids[0]
+            cx, cr = xs[c], rs[c]
             if cx < x and cr == r:
                 pass  # case (a): shrink
-            elif cx > x and cx <= x | r and cr == r - cx:
+            elif cx > x and not xms[c] & ~(xm | r) and cr == r & ~xms[c]:
                 pass  # case (b): grow
             else:
                 bad(i, "single child matches neither shrink nor grow")

@@ -180,18 +180,13 @@ def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
         raise BudgetError(f"treewidth oracle capped at n={budget}, got n={n}")
     if n == 0:
         raise DomainError("treewidth of the empty graph is undefined")
-    nbr = _neighbour_masks(g)
+    nbr = g.neighbour_masks
     tw = _minor_min_width(nbr)
     if tw != _min_degree_order(nbr)[1]:
         tw = _treewidth_dp(nbr)
     if max_width is not None and tw > max_width:
         return None
     return tw
-
-
-def _neighbour_masks(g: MultiGraph) -> list[int]:
-    """Per vertex, the bitmask of its neighbours in the simple graph."""
-    return [sum(1 << w for w, _ in pairs) for pairs in g._adj]
 
 
 def _minor_min_width(nbr: list[int]) -> int:
@@ -297,7 +292,7 @@ def treedec_by_elimination(g: MultiGraph,
         raise DomainError("graph must be connected")
     n = g.n
     if order is None:
-        order = _min_degree_order(_neighbour_masks(g))[0]
+        order = _min_degree_order(g.neighbour_masks)[0]
     else:
         order = list(order)
         if sorted(order) != list(range(n)):

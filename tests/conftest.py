@@ -40,6 +40,14 @@ def edit_node(tree: MssTree, i: int, **fields) -> MssTree:
     return MssTree(nodes, tree.searchers)
 
 
+def grid_with_a_chip_per_row(k: int) -> tuple[MultiGraph, Divisor]:
+    """The k x k grid and the divisor with one chip at the start of each row."""
+    edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    edges += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    return MultiGraph(k * k, edges), Divisor(tuple(1 if v % k == 0 else 0
+                                                  for v in range(k * k)))
+
+
 def random_connected_multigraph(rng: random.Random, n: int,
                                 max_mult: int = 3) -> MultiGraph:
     """Random spanning tree plus random extra edges, multiplicities <= max_mult."""

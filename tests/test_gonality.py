@@ -11,11 +11,12 @@ from chiptree import (
     effective_divisors,
     has_positive_rank,
 )
-from chiptree import divisors, gonality
+from chiptree import gonality
 from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
 from chiptree.gonality import _lex_ascending
 
-from conftest import random_connected_multigraph, reachable_effective_divisors
+from conftest import (grid_with_a_chip_per_row, random_connected_multigraph,
+                      reachable_effective_divisors)
 
 
 def rank_oracle(g, d):
@@ -54,58 +55,48 @@ class TestPositiveRank:
             assert has_positive_rank(g, d) == rank_oracle(g, d)
 
 
-def grid_with_a_chip_per_row(k):
-    """The k x k grid and the divisor with one chip at the start of each row."""
-    edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
-    edges += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
-    return MultiGraph(k * k, edges), Divisor(tuple(1 if v % k == 0 else 0
-                                                  for v in range(k * k)))
-
-
 def test_rank_test_skips_every_vertex_that_received_a_chip(monkeypatch):
     """Operation-count guard on the 20 x 20 grid with one chip per row: a
-    vertex that receives a chip during one reduction needs no reduction of
-    its own.  Without that marking the test runs one reduction per chipless
-    vertex, 380 here; with it, 19."""
+    vertex that receives a chip while the test works toward one q needs no
+    Dhar rounds of its own.  Without that marking the test burns from every
+    chipless vertex, 380 here; with it, from 19."""
     k = 20
     g, d = grid_with_a_chip_per_row(k)
-    calls = [0]
-    reduce = gonality._reduce
+    burnt_from = set()
+    burn = gonality._burn
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return reduce(*args, **kwargs)
+    def counting(adj, chips, q):
+        burnt_from.add(q)
+        return burn(adj, chips, q)
 
-    monkeypatch.setattr(gonality, "_reduce", counting)
+    monkeypatch.setattr(gonality, "_burn", counting)
     assert has_positive_rank(g, d)
-    assert calls[0] <= 2 * k
+    assert len(burnt_from) <= 2 * k
 
 
 def test_rank_test_continues_from_the_last_reduction(monkeypatch):
-    """Operation-count guard on the 20 x 20 grid with one chip per row: each
-    reduction starts from the chips the previous one left, so the one
-    toward column j fires the chips once, from column j - 1, instead of
+    """Operation-count guard on the 20 x 20 grid with one chip per row: the
+    rounds toward each q start from the chips the previous q left, so the
+    ones toward column j fire the chips once, from column j - 1, instead of
     replaying j rounds from column 0 (190 Dhar rounds in all, not 19)."""
     k = 20
     g, d = grid_with_a_chip_per_row(k)
-    left = [d.chips]
-    rounds = [0]
-    reduce, burn = gonality._reduce, divisors._burn
+    calls = []
+    burn = gonality._burn
 
-    def continuing(adj, chips, q, **kwargs):
-        assert tuple(chips) == left[-1]
-        reduce(adj, chips, q, **kwargs)
-        left.append(tuple(chips))
+    def recording(adj, chips, q):
+        if calls and q != calls[-1][0]:
+            # the previous q kept the chip it received
+            assert chips[calls[-1][0]] >= 1
+        calls.append((q, chips))
+        return burn(adj, chips, q)
 
-    def counting(*args):
-        rounds[0] += 1
-        return burn(*args)
-
-    monkeypatch.setattr(gonality, "_reduce", continuing)
-    monkeypatch.setattr(divisors, "_burn", counting)
+    monkeypatch.setattr(gonality, "_burn", recording)
     assert has_positive_rank(g, d)
-    assert len(left) == k
-    assert rounds[0] <= 2 * k
+    assert len({q for q, _ in calls}) == k - 1
+    # one chip list, advanced in place across every q
+    assert all(chips is calls[0][1] for _, chips in calls)
+    assert len(calls) <= 2 * k
 
 
 class TestEnumeration:

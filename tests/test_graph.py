@@ -97,6 +97,12 @@ class TestFlaps:
         names = [g.set_name(f) for f in flaps]
         assert names == ["a", "d", "efg"]
 
+    def test_neighbour_masks_are_built_once(self, fixture_graph):
+        g = fixture_graph
+        masks = g.neighbour_masks
+        assert masks == [sum(1 << w for w in g.adjacency(v)) for v in range(g.n)]
+        assert g.neighbour_masks is masks
+
     def test_flaps_within_territory(self, fixture_graph):
         g = fixture_graph
         x = frozenset(g.vertex_index(v) for v in "bc")

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,11 @@ from chiptree import (
     validate_mss,
     validate_treedec,
 )
-from chiptree import divisors, gonality
+from chiptree import gonality, strategy
 from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssNode, MssTree, MssViolation
 
-from conftest import edit_node, multigraphs, random_connected_multigraph
+from conftest import (edit_node, grid_with_a_chip_per_row, multigraphs,
+                      random_connected_multigraph)
 from chiptree.gonality import effective_divisors
 
 # Positions of the golden strategy tree for the 7-vertex example, as
@@ -101,6 +103,16 @@ class TestGoodFiringSet:
             fired = fire_set(g, d2, u)  # must not raise
             assert fired.is_effective
             checked += 1
+
+    @pytest.mark.parametrize(
+        "x, r", [("", "d"), ("a", "ad"), ("f", "b"), ("", "abcdefg")],
+        ids=["not-a-flap", "meets-x", "not-a-flap-of-x", "holds-chips"])
+    def test_rejects_a_territory_that_is_not_a_chipless_flap(
+            self, fixture_graph, fixture_divisor, x, r):
+        # 3a has positive rank; the first three used to raise InternalError
+        g = fixture_graph
+        with pytest.raises(DomainError, match="territory"):
+            good_firing_set(g, fixture_divisor, vset(g, x), vset(g, r))
 
 
 class TestBuildMss:
@@ -233,16 +245,15 @@ def _random_corpus():
 
 def test_build_mss_reuses_the_rank_verdict(monkeypatch):
     """After ``has_positive_rank(g, d)`` accepts, ``build_mss(g, d)`` keeps
-    its rank check but runs no further q-reduction."""
+    its rank check but burns no further rank-test round."""
     calls = [0]
-    reduce = divisors._reduce
+    burn = gonality._burn
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls[0] += 1
-        return reduce(*args, **kwargs)
+        return burn(*args)
 
-    monkeypatch.setattr(divisors, "_reduce", counting)
-    monkeypatch.setattr(gonality, "_reduce", counting)
+    monkeypatch.setattr(gonality, "_burn", counting)
     rng = random.Random(90210)
     checked = 0
     for _ in range(40):
@@ -263,20 +274,18 @@ def test_build_mss_skips_searches_with_known_answers(monkeypatch, fixture_graph,
                                                      fixture_divisor):
     """Operation-count guard on the golden fixture: a split child's
     territory is one flap, and a step-II child goes straight to step III,
-    so only the other positions get a flap or neighbourhood search (6 and 5
-    searches when every position got both)."""
-    calls = {"flaps_within": 0, "neighborhood": 0}
-    for name in calls:
-        method = getattr(MultiGraph, name)
+    so only the other positions get a flap search (6 when every position
+    got one)."""
+    calls = [0]
+    components = strategy._components
 
-        def counting(self, *args, _name=name, _method=method):
-            calls[_name] += 1
-            return _method(self, *args)
+    def counting(*args):
+        calls[0] += 1
+        return components(*args)
 
-        monkeypatch.setattr(MultiGraph, name, counting)
+    monkeypatch.setattr(strategy, "_components", counting)
     tree = build_mss(fixture_graph, fixture_divisor)
-    assert calls["flaps_within"] <= 3
-    assert calls["neighborhood"] <= 4
+    assert calls[0] <= 3
     assert validate_mss(fixture_graph, tree, 4).ok
 
 
@@ -359,6 +368,44 @@ class TestValidateMss:
             mss_to_treedec(fixture_graph, tree)
 
 
+@pytest.mark.parametrize("where", ["searchers", "territory"])
+@pytest.mark.parametrize("vertex", [-1, "n", "a", 10**18],
+                         ids=["-1", "n", "label", "huge"])
+def test_validate_mss_rejects_a_vertex_outside_the_graph(fixture_graph, fixture_divisor,
+                                                         where, vertex):
+    # a territory {"a"} used to raise TypeError; a mask of 10**18 bits
+    # would not fit in memory
+    g = fixture_graph
+    vertex = g.n if vertex == "n" else vertex
+    tree = build_mss(g, fixture_divisor)
+    x, r = tree.nodes[3].position.searchers, tree.nodes[3].position.territory
+    if where == "searchers":
+        x |= {vertex}
+    else:
+        r |= {vertex}
+    tree = edit_node(tree, 3, position=Position(x, r))
+    report = validate_mss(g, tree, 4)
+    assert MssViolation(3, "searchers or territory name a vertex outside 0..6") \
+        in report.violations
+    with pytest.raises(DomainError):
+        mss_to_treedec(g, tree)
+
+
+def test_built_tree_memory_on_a_large_grid():
+    """Memory guard on the 40 x 40 grid with one chip per row: the tree
+    ``build_mss`` returns holds under 16 MB (64 MB when each territory was
+    a frozenset; about 8 MB as bitmasks)."""
+    g, d = grid_with_a_chip_per_row(40)
+    assert has_positive_rank(g, d)
+    tracemalloc.start()
+    try:
+        tree = build_mss(g, d)  # alive while measured
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 2**20
+
+
 def test_dot_export_mentions_every_position(fixture_graph, fixture_divisor):
     tree = build_mss(fixture_graph, fixture_divisor)
     dot = tree.to_dot(fixture_graph)
@@ -414,3 +461,19 @@ def test_columns_round_trip_through_records(instance):
     assert validate_mss(g, tree, d.degree + 1).ok
     trusted, checked = mss_to_treedec(g, tree), mss_to_treedec(g, remade)
     assert (trusted.bags, trusted.tree_edges) == (checked.bags, checked.tree_edges)
+
+
+@given(positive_rank_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_good_firing_set_ends_on_every_chipless_flap(instance, rng):
+    """On every component R of G - X that holds no chip of d, step III's
+    search returns a fireable set that meets X and avoids R; no firing
+    reaches R, so it never reports an ``InternalError``."""
+    g, d = instance
+    x = frozenset(v for v in range(g.n) if rng.random() < 0.4)
+    for r in g.flaps(x):
+        if any(d[v] for v in r):
+            continue
+        d2, u = good_firing_set(g, d, x, r)
+        assert u & x and not u & r
+        assert fire_set(g, d2, u).is_effective

@@ -316,7 +316,7 @@ def test_bitmask_oracle_matches_all_elimination_orders(g):
     tw = treewidth_bruteforce(g)
     assert tw == treewidth_by_all_orders(g)
     # the dynamic program on its own, whether or not the bounds met
-    assert treedec._treewidth_dp(treedec._neighbour_masks(g)) == tw
+    assert treedec._treewidth_dp(g.neighbour_masks) == tw
     simple = nx.Graph()
     simple.add_nodes_from(range(g.n))
     simple.add_edges_from(g.edge_multiplicities)
@@ -467,7 +467,7 @@ class TestContractRefinement:
 @given(multigraphs())
 @settings(max_examples=120, deadline=None)
 def test_treewidth_bounds_enclose_the_treewidth(g):
-    nbr = treedec._neighbour_masks(g)
+    nbr = g.neighbour_masks
     order, ub = treedec._min_degree_order(nbr)
     assert sorted(order) == list(range(g.n))
     assert treedec._minor_min_width(nbr) <= treedec._treewidth_dp(nbr) <= ub
@@ -490,7 +490,7 @@ def test_oracle_runs_the_dp_where_the_bounds_differ(monkeypatch):
     must fall back to the dynamic program, which finds 4."""
     g = MultiGraph(7, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (2, 3),
                        (2, 6), (3, 5), (4, 5), (4, 6), (5, 6)])
-    nbr = treedec._neighbour_masks(g)
+    nbr = g.neighbour_masks
     assert treedec._minor_min_width(nbr) == 3
     assert treedec._min_degree_order(nbr)[1] == 4
     calls = _counting_dp(monkeypatch)
