@@ -19,12 +19,13 @@ class Divisor(FrozenRecord):
 
     __slots__ = ("chips",)
 
-    def __init__(self, chips: tuple[int, ...]):
-        object.__setattr__(self, "chips", chips)
+    def __init__(self, chips: Sequence[int]):
+        # a copy, so that the caller's list cannot change the divisor
+        object.__setattr__(self, "chips", tuple(chips))
 
     @staticmethod
     def of(chips: Iterable[int]) -> "Divisor":
-        return Divisor(tuple(int(c) for c in chips))
+        return Divisor(int(c) for c in chips)
 
     @staticmethod
     def zero(n: int) -> "Divisor":
@@ -34,7 +35,7 @@ class Divisor(FrozenRecord):
     def single(n: int, v: int, amount: int = 1) -> "Divisor":
         chips = [0] * n
         chips[v] = amount
-        return Divisor(tuple(chips))
+        return Divisor(chips)
 
     def __len__(self):
         return len(self.chips)
@@ -125,7 +126,7 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
             raise NotFireableError(v, out, d[v])
     chips = list(d.chips)
     _fire(g._adj, chips, uset)
-    return Divisor(tuple(chips))
+    return Divisor(chips)
 
 
 def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
@@ -139,7 +140,7 @@ def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
         diff = x[u] - x[v]
         chips[u] -= m * diff
         chips[v] += m * diff
-    return Divisor(tuple(chips))
+    return Divisor(chips)
 
 
 def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
@@ -171,7 +172,7 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     chips = list(d.chips)
     x = [0] * g.n
     _reduce(g._adj, chips, q, x)
-    return Divisor(tuple(chips)), FiringScript(tuple(x))
+    return Divisor(chips), FiringScript(tuple(x))
 
 
 # -- unchecked kernels ---------------------------------------------------------

@@ -152,7 +152,7 @@ def parse_divisor(text: str, g: MultiGraph) -> Divisor:
         except ValueError:
             raise FormatError(f"bad chip count in {token!r}") from None
         chips[g.vertex_index(name)] += value
-    return Divisor(tuple(chips))
+    return Divisor(chips)
 
 
 # -- structured-text document ----------------------------------------------
@@ -210,7 +210,7 @@ def parse_document(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
             raise FormatError(f"bad divisor-dense line: {dense_line!r}") from None
         if len(chips) != g.n:
             raise FormatError("divisor-dense length does not match vertex count")
-        divisor = Divisor(tuple(chips))
+        divisor = Divisor(chips)
     if divisor_line is not None:
         divisor = parse_divisor(divisor_line, g)
     return g, divisor

@@ -73,7 +73,7 @@ def effective_divisors(n: int, degree: int) -> Iterator[Divisor]:
         chips = [0] * n
         for v in slots:
             chips[v] += 1
-        yield Divisor(tuple(chips))
+        yield Divisor(chips)
 
 
 def _lex_ascending(n: int, degree: int) -> Iterator[Divisor]:
@@ -89,7 +89,7 @@ def _lex_ascending(n: int, degree: int) -> Iterator[Divisor]:
     chips = [0] * n
     chips[-1] = degree
     while True:
-        yield Divisor(tuple(chips))
+        yield Divisor(chips)
         if chips[-1] and n > 1:
             chips[-1] -= 1
             chips[-2] += 1

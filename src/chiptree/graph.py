@@ -21,9 +21,8 @@ class Record:
     """Base of the package's records: the fields are the ``__slots__``, equal
     field by field within one class and shown by repr.  A slot whose name
     starts with an underscore is private state, outside equality, repr and
-    pickle.  A class may name its fields itself, properties included.  Hot
-    records define their own ``__init__``; this one takes the fields by
-    position or keyword."""
+    pickle.  Hot records define their own ``__init__``; this one takes the
+    fields by position or keyword."""
 
     __slots__ = ()
     __hash__ = None
@@ -31,8 +30,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -59,18 +57,9 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A hashable record whose fields cannot be assigned after ``__init__``.
-
-    ``_setters`` holds the slot setters in ``__slots__`` order, captured
-    once per class, for the ``__init__`` of records made in hot loops.
-    """
+    """A hashable record whose fields cannot be assigned after ``__init__``."""
 
     __slots__ = ()
-    _setters: tuple = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen; cannot set {name!r}")
@@ -206,21 +195,6 @@ class MultiGraph:
             raise GraphError(f"outdeg requires v in U, got v={v}")
         return sum(m for w, m in self._adj[v] if w not in uset)
 
-    def neighbors_in(self, v: int, r: Iterable[int]) -> VertexSet:
-        """Vertices of r adjacent to v."""
-        rset = r if isinstance(r, (set, frozenset)) else frozenset(r)
-        return frozenset(w for w, _ in self._adj[v] if w in rset)
-
-    def neighborhood(self, u: Iterable[int]) -> VertexSet:
-        """N(U): vertices outside u with a neighbor in u."""
-        uset = frozenset(u)
-        out = set()
-        for v in uset:
-            for w, _ in self._adj[v]:
-                if w not in uset:
-                    out.add(w)
-        return frozenset(out)
-
     def flaps(self, x: Iterable[int]) -> list[VertexSet]:
         """Connected components of G - X, ordered by smallest member."""
         xset = frozenset(x)
@@ -247,23 +221,6 @@ class MultiGraph:
         if self._connected is None:
             self._connected = len(self.flaps(())) == 1
         return self._connected
-
-    def flaps_within(self, x: Iterable[int], r: Iterable[int]) -> list[VertexSet]:
-        """The X-flaps contained in r; r must be a union of X-flaps.
-
-        Same result as filtering ``flaps(x)`` by ``flap <= r``, ordered by
-        smallest member, but the search runs on bitmasks inside r, so it
-        costs the volume of r, not of the whole graph.  Vertices of r that
-        lie in X or outside 0..n-1 belong to no flap.
-        """
-        n = self.n
-        xm, rm = (_mask((v for v in vs if isinstance(v, int) and 0 <= v < n), n)
-                  for vs in (x, r))
-        rm &= ~xm
-        nbr = self.neighbour_masks
-        if _around(nbr, rm) & ~(rm | xm):
-            raise GraphError("r is not a union of X-flaps")
-        return [_vertices(flap) for flap in _components(nbr, rm)]
 
 
 # -- bitmask kernels -------------------------------------------------------

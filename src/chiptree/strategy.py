@@ -31,11 +31,6 @@ STEP_LABEL = {SPLIT: "I", SHRINK: "II", GROW: "III"}
 class Position(FrozenRecord):
     __slots__ = ("searchers", "territory")   # X and R
 
-    def __init__(self, searchers: VertexSet, territory: VertexSet):
-        set_searchers, set_territory = self._setters
-        set_searchers(self, searchers)
-        set_territory(self, territory)
-
     def label(self, g: MultiGraph) -> str:
         return f"{g.set_name(self.searchers)} | {g.set_name(self.territory)}"
 
@@ -43,88 +38,61 @@ class Position(FrozenRecord):
 class MssNode(FrozenRecord):
     __slots__ = ("position", "move", "parent", "children")
 
-    def __init__(self, position: Position, move: str = LEAF,
-                 parent: Optional[int] = None, children: Iterable[int] = ()):
-        set_position, set_move, set_parent, set_children = self._setters
-        set_position(self, position)
-        set_move(self, move)
-        set_parent(self, parent)
-        set_children(self, tuple(children))
-
 
 class MssTree(FrozenRecord):
     """Rooted strategy tree; node 0 is the root (empty X, full territory).
 
-    The nodes are stored as columns, one list each of searcher sets,
-    territories, moves, parents and children lists.  A territory is a
-    bitmask (``graph._mask``), and -1 if a record named something other
-    than an int below the size of the root's territory in it.
-    ``nodes`` builds the ``MssNode`` records from the columns on first read
-    and keeps them; a tree made from records keeps those.  Equality, hash,
-    repr and pickle go through ``nodes``.  ``_built_for`` is the graph
-    ``build_mss`` built the tree for, and None on every tree made any other
-    way, copies and unpickled trees included.
+    The fields are the columns, one tuple each of the nodes' searcher sets,
+    territories as bitmasks (``graph._mask``), moves, parents and tuples of
+    children; they are the tree's only storage.  ``nodes`` shows them as
+    ``MssNode`` records, built on each read.  ``_built_for`` is the graph ``build_mss``
+    built the tree for, and None on every tree made any other way, copies
+    and unpickled trees included.
     """
 
-    __slots__ = ("searchers", "_xs", "_rs", "_moves", "_parents", "_children",
-                 "_nodes", "_built_for")
-    _fields = ("nodes", "searchers")
+    __slots__ = ("searchers", "xs", "territories", "moves", "parents", "children",
+                 "_built_for")
 
-    def __init__(self, nodes: Iterable[MssNode], searchers: int):
-        nodes = tuple(nodes)
-        positions = [node.position for node in nodes]
-        # a strategy's root holds all of V, so no vertex of a valid tree
-        # reaches the size of the root's territory
-        n = len(positions[0].territory) if positions else 0
-        self._fill(searchers,
-                   [p.searchers for p in positions],
-                   [_mask(p.territory, n) for p in positions],
-                   [node.move for node in nodes],
-                   [node.parent for node in nodes],
-                   [node.children for node in nodes],
-                   nodes, None)
-
-    def _fill(self, *values) -> None:
-        """Set every slot, the values in ``__slots__`` order."""
-        for put, value in zip(self._setters, values):
-            put(self, value)
+    def __init__(self, searchers: int, xs: Iterable[VertexSet],
+                 territories: Iterable[int], moves: Iterable[str],
+                 parents: Iterable[Optional[int]], children: Iterable[Iterable[int]]):
+        put = object.__setattr__
+        put(self, "searchers", searchers)
+        put(self, "xs", tuple(xs))
+        put(self, "territories", tuple(territories))
+        put(self, "moves", tuple(moves))
+        put(self, "parents", tuple(parents))
+        put(self, "children", tuple(map(tuple, children)))
+        put(self, "_built_for", None)
 
     @property
     def nodes(self) -> tuple[MssNode, ...]:
-        if self._nodes is None:
-            territories = map(frozenset, self._territories())
-            positions = map(Position, self._xs, territories)
-            nodes = tuple(map(MssNode, positions, self._moves, self._parents,
-                              self._children))
-            object.__setattr__(self, "_nodes", nodes)
-        return self._nodes
+        positions = map(Position, self.xs, map(frozenset, self._territories()))
+        return tuple(map(MssNode, positions, self.moves, self.parents, self.children))
 
     @property
     def root(self) -> int:
         return 0
 
     def max_searchers_used(self) -> int:
-        return max(map(len, self._xs))
+        return max(map(len, self.xs), default=0)
 
     def _territories(self) -> Iterator[Iterable[int]]:
         """Each node's territory, read from its mask one node at a time,
-        with one int object per vertex for the whole tree; a territory
-        stored as -1 is read from the record it came from."""
-        vertex = list(range(max(map(int.bit_length, self._rs), default=0)))
-        for i, r in enumerate(self._rs):
-            yield (self._nodes[i].position.territory if r < 0
-                   else compress(vertex, _digits(r)))
+        with one int object per vertex for the whole tree."""
+        vertex = list(range(max(map(int.bit_length, self.territories), default=0)))
+        return (compress(vertex, _digits(r)) for r in self.territories)
 
     def _labels(self, g: MultiGraph) -> Iterator[str]:
         """Each node's "X | R" label."""
-        for x, territory in zip(self._xs, self._territories()):
+        for x, territory in zip(self.xs, self._territories()):
             yield f"{g.set_name(x)} | {g.set_name(territory)}"
 
     def to_text(self, g: MultiGraph) -> str:
         """The searcher count, then per node its parent, move and label."""
         lines = [f"searchers: {self.searchers}"]
         for i, (label, parent, move) in enumerate(
-                zip(self._labels(g), self._parents, self._moves)):
+                zip(self._labels(g), self.parents, self.moves)):
             parent = "-" if parent is None else parent
             lines.append(f"node {i} parent {parent} {move} ({label})")
         return "\n".join(lines) + "\n"
@@ -133,9 +101,9 @@ class MssTree(FrozenRecord):
         lines = ["digraph mss {", "  node [shape=record];"]
         for i, label in enumerate(self._labels(g)):
             lines.append(f'  n{i} [label="{label}"];')
-        for i, kids in enumerate(self._children):
+        for i, kids in enumerate(self.children):
             for c in kids:
-                tag = STEP_LABEL.get(self._moves[c], "")
+                tag = STEP_LABEL.get(self.moves[c], "")
                 attr = f' [label="{tag}"]' if tag else ""
                 lines.append(f"  n{i} -> n{c}{attr};")
         lines.append("}")
@@ -177,7 +145,7 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
         raise DomainError("divisor has chips on the territory")
     chips = list(d.chips)
     u, _ = _good_firing_set(g._adj, chips, x, rm)
-    return Divisor(tuple(chips)), _vertices(u)
+    return Divisor(chips), _vertices(u)
 
 
 def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
@@ -308,7 +276,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         u, room = _good_firing_set(adj, chips, x, r)
         if trace is not None:
             trace.append(("III", Position(x, _vertices(r)),
-                          (Divisor(tuple(chips)), _vertices(u))))
+                          (Divisor(chips), _vertices(u))))
         # each mover s first grows X onto its neighbours in R, then leaves;
         # prev_r is always R - prev_x, so a grow that adds no vertex is no move
         prev_x, prev_r = x, r
@@ -327,8 +295,8 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         if prev_r:
             pending.append((parent, xm, tuple(chips), 1))
 
-    tree = object.__new__(MssTree)
-    tree._fill(d.degree + 1, xs, rs, moves, parents, children, None, g)
+    tree = MssTree(d.degree + 1, xs, rs, moves, parents, children)
+    object.__setattr__(tree, "_built_for", g)
     return tree
 
 
@@ -345,10 +313,14 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     n = g.n
     nbr = g.neighbour_masks
-    xs, rs, kids_of = tree._xs, tree._rs, tree._children
+    xs, kids_of = tree.xs, tree.children
     size = len(xs)
     if not size:
         return MssReport(False, [MssViolation(None, "empty tree")])
+    lengths = [len(column) for column in
+               (xs, tree.territories, tree.moves, tree.parents, kids_of)]
+    if len(set(lengths)) > 1:
+        return MssReport(False, [MssViolation(None, f"columns have lengths {lengths}")])
 
     # before any check reads a node, walk from the root: every child index
     # names a node, no node is reached twice and every node is reached;
@@ -369,26 +341,29 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     if violations:
         return MssReport(False, violations)
 
-    if xs[0] or rs[0] != (1 << n) - 1:
+    if xs[0] or tree.territories[0] != (1 << n) - 1:
         bad(0, "root is not (empty, V)")
     if size > n * n + 1:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
-    # masks are -1 where a record named a non-vertex
+    # masks are -1 where a column names a non-vertex
     xms = [_mask(x, n) for x in xs]
+    rs = [r if isinstance(r, int) and r >= 0 and not r >> n else -1
+          for r in tree.territories]
+
     for i, (x, xm, r, kids, parent) in enumerate(
-            zip(xs, xms, rs, kids_of, tree._parents)):
+            zip(xs, xms, rs, kids_of, tree.parents)):
         if parent != parent_of[i]:
             bad(i, f"parent field is {parent!r}, not {parent_of[i]!r}")
-        if xm < 0 or xm >> n or r < 0 or r >> n:
+        if xm < 0 or r < 0:
             bad(i, f"searchers or territory name a vertex outside 0..{n - 1}")
             continue
         if xm & r:
             bad(i, "searchers and territory overlap")
         if len(x) > k:
             bad(i, f"|X|={len(x)} exceeds {k} searchers")
-        # like g.flaps_within(x, r): territory vertices in X are in no flap,
-        # and an empty territory, as after capture, has none
+        # territory vertices in X are in no flap, and an empty territory,
+        # as after capture, has none
         free = r & ~xm
         if _around(nbr, free) & ~(free | xm):
             bad(i, "territory is not a union of X-flaps")

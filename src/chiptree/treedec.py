@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import FrozenRecord, MultiGraph, Record, VertexSet
+from .graph import FrozenRecord, MultiGraph, Record, VertexSet, _vertices
 from .strategy import MssTree, validate_mss
 
 
@@ -151,7 +151,7 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
         report = validate_mss(g, tree, tree.searchers)
         if not report.ok:
             raise DomainError(f"invalid search strategy: {report.first().reason}")
-    kids_of, xs = tree._children, tree._xs
+    kids_of, xs = tree.children, tree.xs
     order = []
     stack = [tree.root]
     while stack:
@@ -182,7 +182,7 @@ def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
         raise DomainError("treewidth of the empty graph is undefined")
     nbr = g.neighbour_masks
     tw = _minor_min_width(nbr)
-    if tw != _min_degree_order(nbr)[1]:
+    if tw != max(map(int.bit_count, _eliminate(nbr)[1])):
         tw = _treewidth_dp(nbr)
     if max_width is not None and tw > max_width:
         return None
@@ -218,25 +218,31 @@ def _minor_min_width(nbr: list[int]) -> int:
     return lb
 
 
-def _min_degree_order(nbr: list[int]) -> tuple[list[int], int]:
-    """The min-degree elimination order (ties to the smaller vertex) of the
-    simple graph with neighbour bitmasks ``nbr``, and its width: an upper
-    bound on the treewidth."""
+def _eliminate(nbr: list[int],
+               order: Optional[list[int]] = None) -> tuple[list[int], list[int]]:
+    """Eliminate the vertices of the simple graph with neighbour bitmasks
+    ``nbr`` in the given order, or else in the min-degree order (ties to the
+    smaller vertex).  Returns the order and, per vertex in it, the mask of
+    its neighbours that come later, which elimination makes a clique.  The
+    largest of these, for the min-degree order, is an upper bound on the
+    treewidth."""
     work = list(nbr)
     remaining = set(range(len(work)))
-    order = []
-    width = 0
+    pick = order is None
+    order = [] if pick else order
+    later = []
     while remaining:
-        v = min(remaining, key=lambda a: (work[a].bit_count(), a))
-        order.append(v)
+        if pick:
+            order.append(min(remaining, key=lambda a: (work[a].bit_count(), a)))
+        v = order[len(later)]
         remaining.discard(v)
         around = work[v]
-        width = max(width, around.bit_count())
+        later.append(around)
         v_bit = 1 << v
         for a in remaining:
             if around >> a & 1:
                 work[a] = (work[a] | around) & ~(v_bit | 1 << a)
-    return order, width
+    return order, later
 
 
 def _treewidth_dp(nbr: list[int]) -> int:
@@ -291,30 +297,20 @@ def treedec_by_elimination(g: MultiGraph,
     if not g.is_connected():
         raise DomainError("graph must be connected")
     n = g.n
-    if order is None:
-        order = _min_degree_order(g.neighbour_masks)[0]
-    else:
+    if order is not None:
         order = list(order)
         if sorted(order) != list(range(n)):
             raise DomainError("elimination order must be a permutation of V")
-
+    order, later = _eliminate(g.neighbour_masks, order)
     pos = {v: i for i, v in enumerate(order)}
-    work = [set(g.adjacency(v)) for v in range(n)]
     bags: list[VertexSet] = []
     edges: list[tuple[int, int]] = []
-    bag_of: dict[int, int] = {}
-    for idx, v in enumerate(order):
-        later = {w for w in work[v] if pos[w] > idx}
-        bags.append(frozenset({v} | later))
-        bag_of[v] = idx
-        for a in later:
-            work[a].discard(v)
-            work[a].update(later - {a})
-    for idx, v in enumerate(order):
-        later = bags[idx] - {v}
-        if later:
-            nxt = min(later, key=lambda w: pos[w])
-            edges.append((idx, bag_of[nxt]))
+    for i, (v, mask) in enumerate(zip(order, later)):
+        rest = _vertices(mask)
+        bags.append(rest | {v})
+        if rest:
+            # the bag of the earliest later neighbour
+            edges.append((i, min(pos[w] for w in rest)))
     return TreeDecomposition(bags, edges)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from chiptree import Divisor, MultiGraph, fire_set, is_fireable
 from chiptree.fixtures import example_divisor, example_graph
-from chiptree.strategy import MssNode, MssTree
+from chiptree.strategy import MssTree
 
 
 @pytest.fixture
@@ -28,16 +28,14 @@ def fixture_divisor(fixture_graph):
     return example_divisor(fixture_graph)
 
 
-def edit_node(tree: MssTree, i: int, **fields) -> MssTree:
-    """A copy of a frozen strategy tree with the named fields of node i
-    replaced, e.g. ``edit_node(tree, 1, children=(2, 99))``."""
-    node = tree.nodes[i]
-    values = {name: getattr(node, name)
-              for name in ("position", "move", "parent", "children")}
-    values.update(fields)
-    nodes = list(tree.nodes)
-    nodes[i] = MssNode(**values)
-    return MssTree(nodes, tree.searchers)
+def edit_node(tree: MssTree, i: int, **columns) -> MssTree:
+    """A copy of a frozen strategy tree with node i's entries in the named
+    columns replaced, e.g. ``edit_node(tree, 1, children=(2, 99))``."""
+    values = {name: list(getattr(tree, name))
+              for name in ("xs", "territories", "moves", "parents", "children")}
+    for name, value in columns.items():
+        values[name][i] = value
+    return MssTree(tree.searchers, **values)
 
 
 def grid_with_a_chip_per_row(k: int) -> tuple[MultiGraph, Divisor]:

@@ -51,6 +51,18 @@ class TestDegreeAndSupport:
     def test_zero(self):
         assert Divisor.zero(4).degree == 0
 
+    def test_divisor_copies_the_callers_list(self):
+        # the divisor used to keep the list: changing it afterwards changed
+        # the divisor, made it unhashable and let the rank memo accept it
+        g = path3()
+        chips = [1, 0, 0]
+        d = Divisor(chips)
+        assert has_positive_rank(g, d)
+        chips[0] = 0
+        assert d == Divisor((1, 0, 0)) and hash(d) == hash(Divisor((1, 0, 0)))
+        assert has_positive_rank(g, d)
+        assert not has_positive_rank(g, Divisor(chips))
+
     def test_fixture_divisors(self, fixture_graph, fixture_divisor):
         assert fixture_divisor.degree == 3
         abc = named(fixture_graph, {"a": 1, "b": 1, "c": 1})

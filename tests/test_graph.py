@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiptree import GraphError, MultiGraph
+from chiptree.graph import _components
 
 from conftest import laplacian, multigraphs, random_connected_multigraph
 
@@ -103,37 +104,16 @@ class TestFlaps:
         assert masks == [sum(1 << w for w in g.adjacency(v)) for v in range(g.n)]
         assert g.neighbour_masks is masks
 
-    def test_flaps_within_territory(self, fixture_graph):
-        g = fixture_graph
-        x = frozenset(g.vertex_index(v) for v in "bc")
-        r = frozenset(g.vertex_index(v) for v in "defg")
-        assert [g.set_name(f) for f in g.flaps_within(x, r)] == ["d", "efg"]
-
-    def test_flaps_within_ignores_non_vertices(self, fixture_graph):
-        # like filtering flaps(x): a non-vertex in r lies in no flap
-        g = fixture_graph
-        x = frozenset(g.vertex_index(v) for v in "bc")
-        r = frozenset(g.vertex_index(v) for v in "defg") | {-1, g.n}
-        assert [g.set_name(f) for f in g.flaps_within(x, r)] == ["d", "efg"]
-
     @given(multigraphs(), st.randoms(use_true_random=False))
     @settings(max_examples=200)
-    def test_flaps_within_equals_filtered_flaps(self, g, rng):
-        # X and R drawn independently, so X may meet R and R may cut flaps
+    def test_components_equal_filtered_flaps(self, g, rng):
+        # the mask kernel behind the strategy's flap search, against flaps(x)
         x = frozenset(v for v in range(g.n) if rng.random() < 0.3)
-        if rng.random() < 0.5:
-            # a union of X-flaps, plus some of X
-            r = frozenset().union(
-                *(f for f in g.flaps(x) if rng.random() < 0.5),
-                (v for v in x if rng.random() < 0.3))
-        else:
-            r = frozenset(v for v in range(g.n) if rng.random() < 0.5)
         flaps = g.flaps(x)
-        if any(f & r and not f <= r for f in flaps):
-            with pytest.raises(GraphError):
-                g.flaps_within(x, r)
-        else:
-            assert g.flaps_within(x, r) == [f for f in flaps if f <= r]
+        r = frozenset().union(*(f for f in flaps if rng.random() < 0.5))
+        got = _components(g.neighbour_masks, sum(1 << v for v in r))
+        assert [frozenset(v for v in range(g.n) if c >> v & 1) for c in got] == \
+            [f for f in flaps if f <= r]
 
     @given(multigraphs(), st.randoms(use_true_random=False))
     @settings(max_examples=60)
@@ -161,19 +141,6 @@ class TestFlaps:
     @settings(max_examples=60)
     def test_connectivity_agrees_with_flap_count(self, g):
         assert g.is_connected() == (len(g.flaps(())) == 1)
-
-
-class TestNeighbors:
-    def test_neighbors_in(self):
-        g = path(3)
-        assert g.neighbors_in(1, {2}) == {2}
-        assert g.neighbors_in(0, {2}) == frozenset()
-
-    def test_fixture_neighbors_of_b_in_efg(self, fixture_graph):
-        g = fixture_graph
-        r = frozenset(g.vertex_index(v) for v in "efg")
-        got = g.neighbors_in(g.vertex_index("b"), r)
-        assert g.set_name(got) == "ef"
 
 
 def test_connectivity_basics():

@@ -297,19 +297,15 @@ class TestValidateMss:
     def test_rejects_incomplete_leaf(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
         # chop off a subtree: the split node at (bc, defg) keeps one child
-        i = next(i for i, node in enumerate(tree.nodes) if len(node.children) > 1)
-        tree = edit_node(tree, i, children=tree.nodes[i].children[:-1])
+        i = next(i for i, kids in enumerate(tree.children) if len(kids) > 1)
+        tree = edit_node(tree, i, children=tree.children[i][:-1])
         report = validate_mss(fixture_graph, tree, 4)
         assert not report.ok
 
     def test_rejects_bad_root(self, fixture_graph):
         g = fixture_graph
-        from chiptree.strategy import MssNode, MssTree
-
-        tree = MssTree(
-            nodes=[MssNode(Position(frozenset({0}), frozenset(range(1, g.n))))],
-            searchers=4,
-        )
+        tree = MssTree(searchers=4, xs=[frozenset({0})], territories=[(1 << g.n) - 2],
+                       moves=[LEAF], parents=[None], children=[()])
         report = validate_mss(g, tree, 4)
         assert not report.ok
         assert "root" in report.first().reason
@@ -324,7 +320,7 @@ class TestValidateMss:
     def test_rejects_child_outside_the_tree(self, fixture_graph, fixture_divisor, child):
         # 99 used to raise IndexError; -1 wrapped to the last node
         tree = build_mss(fixture_graph, fixture_divisor)
-        tree = edit_node(tree, 1, children=tree.nodes[1].children + (child,))
+        tree = edit_node(tree, 1, children=tree.children[1] + (child,))
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
             MssViolation(1, f"child {child} names a node outside 0..13")]
@@ -334,7 +330,7 @@ class TestValidateMss:
     def test_rejects_child_reached_twice(self, fixture_graph, fixture_divisor,
                                          parent, child):
         tree = build_mss(fixture_graph, fixture_divisor)
-        tree = edit_node(tree, parent, children=tree.nodes[parent].children + (child,))
+        tree = edit_node(tree, parent, children=tree.children[parent] + (child,))
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
             MssViolation(parent, f"child {child} is already in the tree")]
@@ -345,7 +341,7 @@ class TestValidateMss:
         # 11 -> 12 -> 13 becomes 11 -> 13: node 12 used to vanish from the
         # decomposition (13 bags from 14 nodes) with the tree reported valid
         tree = build_mss(fixture_graph, fixture_divisor)
-        assert tree.nodes[11].children == (12,) and tree.nodes[12].children == (13,)
+        assert tree.children[11] == (12,) and tree.children[12] == (13,)
         tree = edit_node(tree, 11, children=(13,))
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
@@ -359,8 +355,8 @@ class TestValidateMss:
     def test_rejects_wrong_parent_field(self, fixture_graph, fixture_divisor,
                                         node, parent, true_parent):
         tree = build_mss(fixture_graph, fixture_divisor)
-        assert tree.nodes[node].parent == true_parent
-        tree = edit_node(tree, node, parent=parent)
+        assert tree.parents[node] == true_parent
+        tree = edit_node(tree, node, parents=parent)
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
             MssViolation(node, f"parent field is {parent}, not {true_parent}")]
@@ -373,22 +369,39 @@ class TestValidateMss:
                          ids=["-1", "n", "label", "huge"])
 def test_validate_mss_rejects_a_vertex_outside_the_graph(fixture_graph, fixture_divisor,
                                                          where, vertex):
-    # a territory {"a"} used to raise TypeError; a mask of 10**18 bits
-    # would not fit in memory
+    # a searcher "a" used to raise TypeError.  A territory is a mask, so
+    # the same cases are -1, a bit at n, the label itself and 10**18, an
+    # int above 2^n - 1; a mask with bit 10**18 would not fit in memory
     g = fixture_graph
-    vertex = g.n if vertex == "n" else vertex
     tree = build_mss(g, fixture_divisor)
-    x, r = tree.nodes[3].position.searchers, tree.nodes[3].position.territory
     if where == "searchers":
-        x |= {vertex}
+        vertex = g.n if vertex == "n" else vertex
+        tree = edit_node(tree, 3, xs=tree.xs[3] | {vertex})
     else:
-        r |= {vertex}
-    tree = edit_node(tree, 3, position=Position(x, r))
+        r = tree.territories[3]
+        tree = edit_node(tree, 3, territories=r | 1 << g.n if vertex == "n" else vertex)
     report = validate_mss(g, tree, 4)
     assert MssViolation(3, "searchers or territory name a vertex outside 0..6") \
         in report.violations
     with pytest.raises(DomainError):
         mss_to_treedec(g, tree)
+
+
+def test_validate_mss_rejects_columns_of_different_lengths(fixture_graph, fixture_divisor):
+    tree = build_mss(fixture_graph, fixture_divisor)
+    tree = MssTree(tree.searchers, tree.xs, tree.territories[:-1], tree.moves,
+                   tree.parents, tree.children)
+    assert validate_mss(fixture_graph, tree, 4).violations == [
+        MssViolation(None, "columns have lengths [14, 13, 14, 14, 14]")]
+    with pytest.raises(DomainError):
+        mss_to_treedec(fixture_graph, tree)
+
+
+def test_empty_tree_uses_no_searchers(fixture_graph):
+    tree = MssTree(0, (), (), (), (), ())
+    assert tree.max_searchers_used() == 0 and tree.nodes == ()
+    assert validate_mss(fixture_graph, tree, 0).violations == [
+        MssViolation(None, "empty tree")]
 
 
 def test_built_tree_memory_on_a_large_grid():
@@ -413,11 +426,8 @@ def test_dot_export_mentions_every_position(fixture_graph, fixture_divisor):
     assert "bcg | ef" in dot
 
 
-def test_pipeline_makes_no_node_records(monkeypatch, fixture_graph, fixture_divisor):
-    """Operation-count guard on the golden fixture: rank test, strategy,
-    decomposition and validation read the tree's columns and construct no
-    ``Position`` or ``MssNode`` (14 of each when every node was a record);
-    ``nodes`` builds them on first read, once."""
+def count_node_records(monkeypatch) -> dict:
+    """Count the ``Position`` and ``MssNode`` records constructed from now on."""
     made = {Position: 0, MssNode: 0}
     for cls in made:
         def counting(self, *args, _cls=cls, _init=cls.__init__):
@@ -425,13 +435,45 @@ def test_pipeline_makes_no_node_records(monkeypatch, fixture_graph, fixture_divi
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+def test_pipeline_makes_no_node_records(monkeypatch, fixture_graph, fixture_divisor):
+    """Operation-count guard on the golden fixture: rank test, strategy,
+    decomposition and validation read the tree's columns and construct no
+    ``Position`` or ``MssNode`` (14 of each when every node was a record);
+    ``nodes`` builds them on each read."""
+    made = count_node_records(monkeypatch)
     g, d = fixture_graph, fixture_divisor
     assert has_positive_rank(g, d)
     tree = build_mss(g, d)
     assert validate_treedec(g, mss_to_treedec(g, tree)).ok
     assert made == {Position: 0, MssNode: 0}
-    assert tree.nodes is tree.nodes
+    assert len(tree.nodes) == 14
     assert made == {Position: 14, MssNode: 14}
+
+
+def test_equality_hash_and_pickle_read_the_columns(monkeypatch):
+    """Guard on the 40 x 40 grid with one chip per row: ``==``, ``hash`` and
+    ``pickle.dumps`` of a built tree construct no node record and each
+    hold under 16 MB.  When they went through ``nodes``, which built a
+    frozenset per territory, the 60 x 60 tree took 1.29 GB, 642 MB and
+    689 MB."""
+    g, d = grid_with_a_chip_per_row(40)
+    tree, other = build_mss(g, d), build_mss(g, d)
+    made = count_node_records(monkeypatch)
+    results = []
+    for op in (lambda: tree == other, lambda: hash(tree), lambda: pickle.dumps(tree)):
+        tracemalloc.start()
+        try:
+            results.append(op())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+    assert made == {Position: 0, MssNode: 0}
+    equal, _, dumped = results
+    assert equal and pickle.loads(dumped) == tree
 
 
 @st.composite
@@ -448,11 +490,19 @@ def positive_rank_instances(draw):
 @given(positive_rank_instances())
 @settings(max_examples=80, deadline=None)
 def test_columns_round_trip_through_records(instance):
-    """A tree built into columns equals its copy made from its records, and
-    copies by pickle or deepcopy, which are validated, not trusted."""
+    """The records ``nodes`` shows hold the columns.  A tree remade from its
+    columns as lists equals it, as do its copies by pickle or deepcopy,
+    which are validated, not trusted."""
     g, d = instance
     tree = build_mss(g, d)
-    remade = MssTree(tree.nodes, tree.searchers)
+    nodes = tree.nodes
+    assert [n.position.searchers for n in nodes] == list(tree.xs)
+    assert [sum(1 << v for v in n.position.territory) for n in nodes] == \
+        list(tree.territories)
+    assert [(n.move, n.parent, n.children) for n in nodes] == \
+        list(zip(tree.moves, tree.parents, tree.children))
+    remade = MssTree(tree.searchers, list(tree.xs), list(tree.territories),
+                     list(tree.moves), list(tree.parents), map(list, tree.children))
     assert remade == tree and hash(remade) == hash(tree)
     assert remade.to_dot(g) == tree.to_dot(g)
     assert remade.max_searchers_used() == tree.max_searchers_used()

@@ -194,7 +194,8 @@ class TestTrustedStrategy:
         elif other == "pickle":
             tree = pickle.loads(pickle.dumps(tree))
         else:
-            tree = MssTree(tree.nodes, tree.searchers)
+            tree = MssTree(tree.searchers, tree.xs, tree.territories, tree.moves,
+                           tree.parents, tree.children)
         assert tree == build_mss(fixture_graph, fixture_divisor)
         assert mss_to_treedec(g, tree) == trusted
         assert validations[0] == 1
@@ -202,13 +203,14 @@ class TestTrustedStrategy:
     def test_built_tree_is_frozen(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
         with pytest.raises(AttributeError):
-            tree.nodes = ()
+            tree.children = ()
         with pytest.raises(AttributeError):
             tree.nodes[3].children = (4,)
         with pytest.raises(AttributeError):
             tree.nodes[5].parent = 0
-        assert isinstance(tree.nodes, tuple)
-        assert all(isinstance(node.children, tuple) for node in tree.nodes)
+        columns = (tree.xs, tree.territories, tree.moves, tree.parents, tree.children)
+        assert all(isinstance(column, tuple) for column in columns)
+        assert all(isinstance(kids, tuple) for kids in tree.children)
 
     def test_the_mark_is_outside_equality_repr_and_pickle(self, fixture_graph,
                                                           fixture_divisor):
@@ -218,7 +220,8 @@ class TestTrustedStrategy:
         assert repr(copied) == repr(tree)
         assert "_built_for" not in repr(tree)
         with pytest.raises(TypeError):
-            MssTree(tree.nodes, tree.searchers, fixture_graph)
+            MssTree(tree.searchers, tree.xs, tree.territories, tree.moves,
+                    tree.parents, tree.children, fixture_graph)
 
 
 class TestMssToTreedec:
@@ -245,8 +248,8 @@ class TestMssToTreedec:
 
     def test_rejects_broken_strategy(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
-        i = next(i for i, node in enumerate(tree.nodes) if len(node.children) > 1)
-        tree = edit_node(tree, i, children=tree.nodes[i].children[:-1])
+        i = next(i for i, kids in enumerate(tree.children) if len(kids) > 1)
+        tree = edit_node(tree, i, children=tree.children[i][:-1])
         with pytest.raises(DomainError):
             mss_to_treedec(fixture_graph, tree)
 
@@ -468,7 +471,8 @@ class TestContractRefinement:
 @settings(max_examples=120, deadline=None)
 def test_treewidth_bounds_enclose_the_treewidth(g):
     nbr = g.neighbour_masks
-    order, ub = treedec._min_degree_order(nbr)
+    order, later = treedec._eliminate(nbr)
+    ub = max(m.bit_count() for m in later)
     assert sorted(order) == list(range(g.n))
     assert treedec._minor_min_width(nbr) <= treedec._treewidth_dp(nbr) <= ub
 
@@ -492,7 +496,7 @@ def test_oracle_runs_the_dp_where_the_bounds_differ(monkeypatch):
                        (2, 6), (3, 5), (4, 5), (4, 6), (5, 6)])
     nbr = g.neighbour_masks
     assert treedec._minor_min_width(nbr) == 3
-    assert treedec._min_degree_order(nbr)[1] == 4
+    assert max(m.bit_count() for m in treedec._eliminate(nbr)[1]) == 4
     calls = _counting_dp(monkeypatch)
     assert treewidth_bruteforce(g) == 4
     assert calls[0] == 1
