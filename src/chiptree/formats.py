@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .divisors import Divisor
 from .errors import FormatError
-from .graph import MultiGraph
+from .graph import MultiGraph, _members
 
 if TYPE_CHECKING:
     from .morphism import FiniteMorphism
@@ -81,7 +81,11 @@ def write_gr(g: MultiGraph) -> str:
 # -- PACE .td tree decompositions ------------------------------------------
 
 def parse_td(text: str) -> TreeDecomposition:
-    """Header ``s td <bags> <max bag size> <n>``, bag lines, tree edges."""
+    """Header ``s td <bags> <max bag size> <n>``, bag lines, tree edges.
+
+    Each bag id in 1..<bags> has one bag line, and the largest bag must
+    have the header's size.
+    """
     from .treedec import TreeDecomposition
     lines = _content_lines(text)
     if not lines:
@@ -90,11 +94,14 @@ def parse_td(text: str) -> TreeDecomposition:
     if len(header) != 5 or header[0] != "s" or header[1] != "td":
         raise FormatError(f"bad .td header: {lines[0]!r}")
     try:
-        num_bags = int(header[2])
-        n = int(header[4])
+        num_bags, max_bag, n = map(int, header[2:])
     except ValueError:
         raise FormatError(f"bad .td header: {lines[0]!r}") from None
-    bags: dict[int, frozenset] = {}
+    if n > MAX_GR_VERTICES:
+        raise FormatError(
+            f".td header declares {n} vertices, above the cap {MAX_GR_VERTICES}"
+        )
+    masks: dict[int, int] = {}
     edges = []
     for line in lines[1:]:
         parts = line.split()
@@ -106,9 +113,14 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise FormatError(f"bad bag line: {line!r}") from None
             if not 1 <= bag_id <= num_bags:
                 raise FormatError(f"bag id {bag_id} outside 1..{num_bags}")
-            if any(not 1 <= v <= n for v in members):
-                raise FormatError(f"bag {bag_id} mentions out-of-range vertices")
-            bags[bag_id] = frozenset(v - 1 for v in members)
+            if bag_id in masks:
+                raise FormatError(f"bag id {bag_id} has a second bag line")
+            mask = 0
+            for v in members:
+                if not 1 <= v <= n:
+                    raise FormatError(f"bag {bag_id} mentions out-of-range vertices")
+                mask |= 1 << (v - 1)
+            masks[bag_id] = mask
         else:
             if len(parts) != 2:
                 raise FormatError(f"bad tree edge line: {line!r}")
@@ -118,21 +130,24 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise FormatError(f"bad tree edge line: {line!r}") from None
             edges.append((i - 1, j - 1))
     # ids are unique keys in 1..num_bags, so a full count means all of them
-    if len(bags) != num_bags:
+    if len(masks) != num_bags:
         raise FormatError("bag ids must be exactly 1..<bags>")
-    bag_list = [bags[i] for i in range(1, num_bags + 1)]
+    mask_list = [masks[i] for i in range(1, num_bags + 1)]
+    largest = max(map(int.bit_count, mask_list), default=0)
+    if largest != max_bag:
+        raise FormatError(f"header declares max bag size {max_bag}, "
+                          f"but the largest bag has {largest}")
     for i, j in edges:
         if not (0 <= i < num_bags and 0 <= j < num_bags):
             raise FormatError(f"tree edge ({i + 1},{j + 1}) out of range")
-    return TreeDecomposition(bag_list, edges)
+    return TreeDecomposition._of_masks(mask_list, edges)
 
 
 def write_td(td: TreeDecomposition, n: int) -> str:
-    max_bag = max((len(b) for b in td.bags), default=0)
-    lines = [f"s td {len(td.bags)} {max_bag} {n}"]
-    for i, bag in enumerate(td.bags):
-        members = " ".join(str(v + 1) for v in sorted(bag))
-        lines.append(f"b {i + 1} {members}".rstrip())
+    masks = td.masks
+    lines = [f"s td {len(masks)} {td.width + 1} {n}"]
+    for i, bag in enumerate(masks, 1):
+        lines.append(" ".join(["b", str(i), *(str(v + 1) for v in _members(bag))]))
     for i, j in td.tree_edges:
         lines.append(f"{i + 1} {j + 1}")
     return "\n".join(lines) + "\n"

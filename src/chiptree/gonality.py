@@ -34,14 +34,18 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     usual "test, then ``build_mss``" sequence tests only once.  One entry
     is enough for that and keeps the memory flat.
     """
-    _require_divisor(g, d)
-    _require_connected(g)
-    if g._positive_rank == d.chips:
+    held = d.chips
+    # the entry checks inline; the helpers run only to raise
+    if len(held) != g.n or held and min(held) < 0:
+        _require_divisor(g, d)
+    if not g.is_connected():
+        _require_connected(g)
+    if g._positive_rank == held:
         return True
     adj, n = g._adj, g.n
-    chips = list(d.chips)
-    covered = [c > 0 for c in chips]
-    bound = max(1, sum(chips) * n)
+    chips = list(held)
+    covered = list(held)  # truthy where a vertex holds or has held a chip
+    bound = sum(held) * n or 1
     for q in range(n):
         if covered[q]:
             continue
@@ -63,7 +67,7 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
                 f"the rank test at q={q} did not finish within {bound} rounds; "
                 "this is a bug"
             )
-    g._positive_rank = d.chips
+    g._positive_rank = held
     return True
 
 

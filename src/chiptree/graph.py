@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress, count
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphError
 
@@ -225,18 +225,23 @@ class MultiGraph:
 
 # -- bitmask kernels -------------------------------------------------------
 # A vertex set as an int with bit v for vertex v, as in ``neighbour_masks``.
-# The strategy stores its territories this way: an int costs n/8 bytes and
-# the cyclic garbage collector does not track it.
+# Searcher sets, territories and bags are stored this way: an int costs
+# n/8 bytes and the cyclic garbage collector does not track it.
 
-def _mask(vs: Iterable, n: int) -> int:
+def _mask(vs: Iterable) -> int:
     """Bit v for each v in vs; -1, which masks no vertex set, if vs names
-    anything but an int in 0..n-1."""
+    anything but an int v >= 0."""
     mask = 0
     for v in vs:
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not (isinstance(v, int) and v >= 0):
             return -1
         mask |= 1 << v
     return mask
+
+
+def _is_mask(m, n: Optional[int] = None) -> bool:
+    """True iff m masks a vertex set (of 0..n-1, if n is given)."""
+    return isinstance(m, int) and m >= 0 and (n is None or not m >> n)
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -249,9 +254,21 @@ def _digits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
+def _members(mask: int) -> Iterator[int]:
+    """The vertices of a non-negative mask in ascending order.  ``rfind``
+    skips the zero digits of ``bin(mask)`` in C, so the loop runs once per
+    vertex: a searcher set or a bag is sparse."""
+    digits = bin(mask)
+    top = len(digits) - 1
+    i = digits.rfind("1")
+    while i >= 0:
+        yield top - i
+        i = digits.rfind("1", 0, i)
+
+
 def _vertices(mask: int) -> VertexSet:
     """The vertex set of a non-negative mask."""
-    return frozenset(compress(count(), _digits(mask)))
+    return frozenset(_members(mask))
 
 
 def _around(nbr: list[int], s: int) -> int:

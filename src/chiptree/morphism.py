@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import DomainError
-from .graph import FrozenRecord, MultiGraph, Record
+from .errors import DomainError, InternalError
+from .graph import FrozenRecord, MultiGraph, Record, _mask
 from .treedec import RefinementMap, TreeDecomposition, _contract
 
 
@@ -149,7 +149,7 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
     if not g_edges:
         if g.n != 1:
             raise DomainError("edgeless graph must be a single vertex (connected)")
-        return TreeDecomposition([frozenset({0})], [])
+        return TreeDecomposition._of_masks([1], [])
     if not g.is_connected():
         raise DomainError("graph must be connected")
     if cert is None:
@@ -157,10 +157,11 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
     k = cert.degree
     vertex_map = f.vertex_map
 
-    bags: list[list[int]] = [[] for _ in range(t.n)]
+    masks = [0] * t.n
     for v, w in enumerate(vertex_map):
-        bags[w].append(v)
-    assert all(len(bag) <= k for bag in bags)
+        masks[w] |= 1 << v
+    if max(map(int.bit_count, masks)) > k:
+        raise InternalError(f"a vertex fiber holds more than deg(f) = {k} vertices")
     if counter is not None:
         counter.extend(range(g.n))
 
@@ -184,7 +185,8 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
     # the certificate makes every fiber non-empty
     edges: list[tuple[int, int]] = []
     for fiber in fibers:
-        assert len(fiber) <= k
+        if len(fiber) > k:
+            raise InternalError(f"an edge fiber holds more than deg(f) = {k} edges")
         fiber.sort()
         near = [p[0] for p in fiber]
         far = [p[1] for p in fiber]
@@ -193,12 +195,12 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
             chain = near[r - 1:] + far[:r]
             if counter is not None:
                 counter.extend(chain)
-            edges.append((prev, len(bags)))
-            prev = len(bags)
-            bags.append(chain)
+            edges.append((prev, len(masks)))
+            prev = len(masks)
+            masks.append(_mask(chain))
         edges.append((prev, vertex_map[far[0]]))
 
-    return TreeDecomposition([frozenset(b) for b in bags], edges)
+    return TreeDecomposition._of_masks(masks, edges)
 
 
 def stable_treedec(g_original: MultiGraph, g_refined: MultiGraph,

@@ -17,7 +17,7 @@ from .divisors import Divisor, _burn, _require_vertices
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
 from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around,
-                    _components, _digits, _mask, _vertices)
+                    _components, _digits, _is_mask, _mask, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
 SHRINK = "shrink"  # case (a), construction step II
@@ -42,18 +42,18 @@ class MssNode(FrozenRecord):
 class MssTree(FrozenRecord):
     """Rooted strategy tree; node 0 is the root (empty X, full territory).
 
-    The fields are the columns, one tuple each of the nodes' searcher sets,
-    territories as bitmasks (``graph._mask``), moves, parents and tuples of
-    children; they are the tree's only storage.  ``nodes`` shows them as
-    ``MssNode`` records, built on each read.  ``_built_for`` is the graph ``build_mss``
-    built the tree for, and None on every tree made any other way, copies
-    and unpickled trees included.
+    The fields are the columns, one tuple each of the nodes' searcher sets
+    and territories, both as bitmasks (bit v for vertex v), moves, parents
+    and tuples of children; they are the tree's only storage.  ``nodes``
+    shows them as ``MssNode`` records, built on each read.  ``_built_for``
+    is the graph ``build_mss`` built the tree for, and None on every tree
+    made any other way, copies and unpickled trees included.
     """
 
     __slots__ = ("searchers", "xs", "territories", "moves", "parents", "children",
                  "_built_for")
 
-    def __init__(self, searchers: int, xs: Iterable[VertexSet],
+    def __init__(self, searchers: int, xs: Iterable[int],
                  territories: Iterable[int], moves: Iterable[str],
                  parents: Iterable[Optional[int]], children: Iterable[Iterable[int]]):
         put = object.__setattr__
@@ -67,7 +67,7 @@ class MssTree(FrozenRecord):
 
     @property
     def nodes(self) -> tuple[MssNode, ...]:
-        positions = map(Position, self.xs, map(frozenset, self._territories()))
+        positions = (Position(frozenset(x), frozenset(r)) for x, r in self._sets())
         return tuple(map(MssNode, positions, self.moves, self.parents, self.children))
 
     @property
@@ -75,17 +75,24 @@ class MssTree(FrozenRecord):
         return 0
 
     def max_searchers_used(self) -> int:
-        return max(map(len, self.xs), default=0)
+        return max(map(int.bit_count, self.xs), default=0)
 
-    def _territories(self) -> Iterator[Iterable[int]]:
-        """Each node's territory, read from its mask one node at a time,
-        with one int object per vertex for the whole tree."""
-        vertex = list(range(max(map(int.bit_length, self.territories), default=0)))
-        return (compress(vertex, _digits(r)) for r in self.territories)
+    def _sets(self, n: Optional[int] = None) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
+        """Each node's X and R, read from their masks one node at a time,
+        with one int object per vertex for the whole tree.  Raises
+        ``DomainError`` for an entry that masks no vertex set (of 0..n-1,
+        given n)."""
+        columns = (self.xs, self.territories)
+        if not all(_is_mask(m, n) for column in columns for m in column):
+            raise DomainError("a searcher or territory entry is not a vertex mask")
+        vertex = list(range(max(map(int.bit_length, self.xs + self.territories),
+                                default=0)))
+        return zip(*((compress(vertex, _digits(m)) for m in column)
+                     for column in columns))
 
     def _labels(self, g: MultiGraph) -> Iterator[str]:
         """Each node's "X | R" label."""
-        for x, territory in zip(self.xs, self._territories()):
+        for x, territory in self._sets(g.n):
             yield f"{g.set_name(x)} | {g.set_name(territory)}"
 
     def to_text(self, g: MultiGraph) -> str:
@@ -137,28 +144,27 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
     _require_vertices(g, r, "territory vertex")
     if not has_positive_rank(g, d):  # also checks d and connectivity
         raise DomainError("divisor does not have positive rank")
-    xm, rm = _mask(x, g.n), _mask(r, g.n)
+    xm, rm = _mask(x), _mask(r)
     nbr = g.neighbour_masks
     if xm & rm or _around(nbr, rm) & ~(rm | xm) or len(_components(nbr, rm)) > 1:
         raise DomainError("territory is not one component of G - X")
     if any(d[v] for v in r):
         raise DomainError("divisor has chips on the territory")
     chips = list(d.chips)
-    u, _ = _good_firing_set(g._adj, chips, x, rm)
+    u, _ = _good_firing_set(g._adj, chips, xm, rm)
     return Divisor(chips), _vertices(u)
 
 
 def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
-                     x: VertexSet, r: int) -> tuple[int, list[int]]:
+                     x: int, r: int) -> tuple[int, list[int]]:
     """Unchecked kernel of ``good_firing_set``: advance chips in place to d''
     and return its fireable set U as a mask, with the burn's room.
 
     Repeatedly burns from the smallest vertex of the territory mask r,
-    firing the unburnt set U once while it stays disjoint from X.  As in
-    the rank test, U is read from the burn's ``room`` and fired from it,
-    and it is built as a mask only on the round that returns it.
-    Termination within deg(d) * n rounds follows from the
-    distance-decrease argument.
+    firing the unburnt set U once while it stays disjoint from the
+    searcher mask x.  As in the rank test, U is read from the burn's
+    ``room`` and fired from it.  Termination within deg(d) * n rounds
+    follows from the distance-decrease argument.
     """
     q = (r & -r).bit_length() - 1
     n = len(chips)
@@ -170,15 +176,14 @@ def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
                 "Dhar returned the empty set during good_firing_set; "
                 "the divisor does not have positive rank"
             )
-        for s in x:
-            if room[s] >= 0:
-                u = 0
-                for v, left in enumerate(room):
-                    if left >= 0:
-                        u |= 1 << v
-                if u & r:
-                    raise InternalError("fireable set meets the territory flap")
-                return u, room
+        u = 0
+        for v, left in enumerate(room):
+            if left >= 0:
+                u |= 1 << v
+        if u & x:
+            if u & r:
+                raise InternalError("fireable set meets the territory flap")
+            return u, room
         _fire_unburnt(adj, chips, room)
     raise InternalError(
         f"good_firing_set did not finish within {bound} iterations"
@@ -203,24 +208,26 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     ``trace``, if given, collects (step, position, detail) tuples describing
     the construction for auditing.  The rank test is the one input check;
     the loop then runs the unchecked ``_good_firing_set`` kernel.  Flaps,
-    N(R) and grows are computed on bitmasks (``g.neighbour_masks``), and
-    the tree stores each territory as one.
+    N(R), grows and shrinks are computed on bitmasks (``g.neighbour_masks``),
+    and the tree stores each searcher set and territory as one.
     """
     if not has_positive_rank(g, d):
         raise DomainError("divisor does not have positive rank")
 
     adj, nbr = g._adj, g.neighbour_masks
-    supp = d.support
-    supp_mask = _mask(supp, g.n)
+    supp = 0
+    for v, c in enumerate(d.chips):
+        if c:
+            supp |= 1 << v
     everything = (1 << g.n) - 1
     # the tree's columns: the root (empty, V), then its child (supp(D), V - supp(D))
-    xs = [frozenset(), supp]
-    rs = [everything, everything & ~supp_mask]
+    xs = [0, supp]
+    rs = [everything, everything & ~supp]
     moves = [ROOT, GROW]
     parents: list[Optional[int]] = [None, 0]
     children: list[list[int]] = [[1], []]
 
-    def add_node(parent: int, x: VertexSet, r: int, move: str) -> int:
+    def add_node(parent: int, x: int, r: int, move: str) -> int:
         idx = len(xs)
         xs.append(x)
         rs.append(r)
@@ -230,15 +237,15 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         children[parent].append(idx)
         return idx
 
-    # open positions with X's mask, the chips of an effective D, X <= supp(D)
-    # and R disjoint from supp(D), and the first construction step that may
-    # apply; tuples, so that split siblings can share them.  R is a union of
-    # X-flaps, so N(R) <= X.  A split child's R is one X-flap, so step I
+    # open positions with the chips of an effective D, X <= supp(D) and R
+    # disjoint from supp(D), and the first construction step that may
+    # apply; tuples, so that split siblings can share them.  R is a union
+    # of X-flaps, so N(R) <= X.  A split child's R is one X-flap, so step I
     # cannot apply to it; a step-II child's R is one flap of G - N(R) and
     # its X is N(R), so it goes straight to step III.
-    pending: deque[tuple[int, int, tuple[int, ...], int]] = deque()
+    pending: deque[tuple[int, tuple[int, ...], int]] = deque()
     if rs[1]:
-        pending.append((1, supp_mask, d.chips, 1))
+        pending.append((1, d.chips, 1))
 
     rounds = 0
     max_rounds = g.n * g.n + 1
@@ -246,7 +253,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         rounds += 1
         if rounds > max_rounds:
             raise InternalError("construction exceeded the n^2 node bound")
-        i, xm, chips_cur, step = pending.popleft()
+        i, chips_cur, step = pending.popleft()
         x, r = xs[i], rs[i]
 
         if step == 1:
@@ -254,46 +261,52 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             if len(flaps) >= 2:
                 # step I: split the territory into its flaps
                 if trace is not None:
-                    trace.append(("I", Position(x, _vertices(r)),
+                    trace.append(("I", Position(_vertices(x), _vertices(r)),
                                   list(map(_vertices, flaps))))
                 for flap in flaps:
-                    pending.append((add_node(i, x, flap, SPLIT), xm, chips_cur, 2))
+                    pending.append((add_node(i, x, flap, SPLIT), chips_cur, 2))
                 continue
 
         if step <= 2:
             # N(R) <= X, so N(R) is the searchers with a neighbour in R
-            nx = frozenset(s for s in x if nbr[s] & r)
-            if len(nx) < len(x):
+            nx, rest = 0, x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if nbr[low.bit_length() - 1] & r:
+                    nx |= low
+            if nx != x:
                 # step II: retract searchers not bordering the territory
                 if trace is not None:
-                    trace.append(("II", Position(x, _vertices(r)), nx))
-                nr = _mask(nx, g.n)
-                pending.append((add_node(i, nx, r, SHRINK), nr, chips_cur, 3))
+                    trace.append(("II", Position(_vertices(x), _vertices(r)),
+                                  _vertices(nx)))
+                pending.append((add_node(i, nx, r, SHRINK), chips_cur, 3))
                 continue
 
         # step III: N(R) = X and R is a single flap; advance along a firing set
         chips = list(chips_cur)
         u, room = _good_firing_set(adj, chips, x, r)
         if trace is not None:
-            trace.append(("III", Position(x, _vertices(r)),
+            trace.append(("III", Position(_vertices(x), _vertices(r)),
                           (Divisor(chips), _vertices(u))))
-        # each mover s first grows X onto its neighbours in R, then leaves;
-        # prev_r is always R - prev_x, so a grow that adds no vertex is no move
-        prev_x, prev_r = x, r
-        parent = i
-        for s in sorted(s for s in x if u >> s & 1):
-            grown = nbr[s] & r & ~xm
+        # each mover s, in ascending order, first grows X onto its
+        # neighbours in the territory left, then leaves; a grow that adds
+        # no vertex is no move
+        parent, movers, left = i, x & u, r
+        while movers:
+            low = movers & -movers
+            movers ^= low
+            grown = nbr[low.bit_length() - 1] & left
             if grown:
-                xm |= grown
-                prev_x = prev_x | {w for w, _ in adj[s] if grown >> w & 1}
-                prev_r = r & ~xm
-                parent = add_node(parent, prev_x, prev_r, GROW)
-            xm &= ~(1 << s)
-            prev_x = prev_x - {s}
-            parent = add_node(parent, prev_x, prev_r, SHRINK)
-        _fire_unburnt(adj, chips, room)
-        if prev_r:
-            pending.append((parent, xm, tuple(chips), 1))
+                x |= grown
+                left ^= grown
+                parent = add_node(parent, x, left, GROW)
+            x ^= low
+            parent = add_node(parent, x, left, SHRINK)
+        # once the territory is captured, no step reads the fired chips
+        if left:
+            _fire_unburnt(adj, chips, room)
+            pending.append((parent, tuple(chips), 1))
 
     tree = MssTree(d.degree + 1, xs, rs, moves, parents, children)
     object.__setattr__(tree, "_built_for", g)
@@ -341,31 +354,29 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     if violations:
         return MssReport(False, violations)
 
-    if xs[0] or tree.territories[0] != (1 << n) - 1:
+    if xs[0] != 0 or tree.territories[0] != (1 << n) - 1:
         bad(0, "root is not (empty, V)")
     if size > n * n + 1:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
-    # masks are -1 where a column names a non-vertex
-    xms = [_mask(x, n) for x in xs]
-    rs = [r if isinstance(r, int) and r >= 0 and not r >> n else -1
-          for r in tree.territories]
+    # -1 where a column entry masks no vertex set of 0..n-1
+    xs = [x if _is_mask(x, n) else -1 for x in xs]
+    rs = [r if _is_mask(r, n) else -1 for r in tree.territories]
 
-    for i, (x, xm, r, kids, parent) in enumerate(
-            zip(xs, xms, rs, kids_of, tree.parents)):
+    for i, (x, r, kids, parent) in enumerate(zip(xs, rs, kids_of, tree.parents)):
         if parent != parent_of[i]:
             bad(i, f"parent field is {parent!r}, not {parent_of[i]!r}")
-        if xm < 0 or r < 0:
+        if x < 0 or r < 0:
             bad(i, f"searchers or territory name a vertex outside 0..{n - 1}")
             continue
-        if xm & r:
+        if x & r:
             bad(i, "searchers and territory overlap")
-        if len(x) > k:
-            bad(i, f"|X|={len(x)} exceeds {k} searchers")
+        if x.bit_count() > k:
+            bad(i, f"|X|={x.bit_count()} exceeds {k} searchers")
         # territory vertices in X are in no flap, and an empty territory,
         # as after capture, has none
-        free = r & ~xm
-        if _around(nbr, free) & ~(free | xm):
+        free = r & ~x
+        if _around(nbr, free) & ~(free | x):
             bad(i, "territory is not a union of X-flaps")
             continue
         flaps = _components(nbr, free)
@@ -378,9 +389,9 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         if len(kids) == 1:
             c = kids[0]
             cx, cr = xs[c], rs[c]
-            if cx < x and cr == r:
+            if cx != x and not cx & ~x and cr == r:
                 pass  # case (a): shrink
-            elif cx > x and not xms[c] & ~(xm | r) and cr == r & ~xms[c]:
+            elif cx != x and not x & ~cx and not cx & ~(x | r) and cr == r & ~cx:
                 pass  # case (b): grow
             else:
                 bad(i, "single child matches neither shrink nor grow")

@@ -6,24 +6,47 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import FrozenRecord, MultiGraph, Record, VertexSet, _vertices
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _mask, _members,
+                    _vertices)
 from .strategy import MssTree, validate_mss
 
 
 class TreeDecomposition(Record):
-    """Bags indexed 0..b-1 plus the undirected tree edges between them."""
+    """Bags indexed 0..b-1 plus the undirected tree edges between them.
 
-    __slots__ = ("bags", "tree_edges")
+    ``masks`` holds one bitmask per bag (bit v for vertex v), the
+    decomposition's only storage of its bags; ``bags`` shows them as
+    frozensets, built on each read.  The constructor takes each bag as a
+    collection of vertices, ints v >= 0.
+    """
 
-    def __init__(self, bags: list[VertexSet], tree_edges: list[tuple[int, int]]):
-        self.bags, self.tree_edges = bags, tree_edges
+    __slots__ = ("masks", "tree_edges")
+
+    def __init__(self, bags: Iterable[Iterable[int]], tree_edges: list[tuple[int, int]]):
+        masks = list(map(_mask, bags))
+        if min(masks, default=0) < 0:
+            raise DomainError(f"bag {masks.index(-1)} holds a member that is not an int >= 0")
+        self.masks, self.tree_edges = masks, tree_edges
+
+    @classmethod
+    def _of_masks(cls, masks: list[int], tree_edges: list[tuple[int, int]]):
+        td = cls.__new__(cls)
+        td.masks, td.tree_edges = masks, tree_edges
+        return td
+
+    def __reduce__(self):
+        return TreeDecomposition._of_masks, (self.masks, self.tree_edges)
+
+    @property
+    def bags(self) -> list[VertexSet]:
+        return list(map(_vertices, self.masks))
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
+        return max(map(int.bit_count, self.masks), default=0) - 1
 
     def neighbors(self) -> list[list[int]]:
-        adj = [[] for _ in self.bags]
+        adj = [[] for _ in self.masks]
         for i, j in self.tree_edges:
             adj[i].append(j)
             adj[j].append(i)
@@ -31,8 +54,9 @@ class TreeDecomposition(Record):
 
     def to_dot(self, g: Optional[MultiGraph] = None) -> str:
         lines = ["graph treedec {", "  node [shape=box];"]
-        for i, bag in enumerate(self.bags):
-            label = g.set_name(bag) if g else ",".join(map(str, sorted(bag)))
+        for i, bag in enumerate(self.masks):
+            members = _members(bag)
+            label = g.set_name(members) if g else ",".join(map(str, members))
             lines.append(f'  b{i} [label="{label}"];')
         for i, j in self.tree_edges:
             lines.append(f"  b{i} -- b{j};")
@@ -51,93 +75,124 @@ class TdReport(Record):
 def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     """Check the three decomposition conditions plus tree shape.
 
-    One pass over the bags indexes, for each vertex, the bags holding it;
-    conditions 1-3 then read that index instead of scanning the bags again,
-    and on a tree condition 3 only counts bags and shared tree edges.
+    A valid decomposition is confirmed on the bag masks in O(b + n + |E|)
+    big-int operations (``_holds``); any other gets a naming pass
+    (``_violations``) that reports every violation.
     """
-    violations = []
-    b = len(td.bags)
+    masks, edges = td.masks, td.tree_edges
+    b = len(masks)
     if b == 0:
         return TdReport(False, -1, ["decomposition has no bags"])
     outside = [f"tree edge ({i},{j}) names a bag outside 0..{b - 1}"
-               for i, j in td.tree_edges if not (0 <= i < b and 0 <= j < b)]
+               for i, j in edges if not (0 <= i < b and 0 <= j < b)]
     if outside:
         return TdReport(False, td.width, outside)
-
-    n = g.n
-    holding: dict[int, set[int]] = {v: set() for v in range(n)}
-    extra = set()
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            bags_of_v = holding.get(v)
-            if bags_of_v is None:
-                extra.add(v)
-            else:
-                bags_of_v.add(i)
-    adj = td.neighbors()
-
-    # tree shape: connected and acyclic
-    is_tree = False
-    if len(td.tree_edges) != b - 1:
-        violations.append(
-            f"{len(td.tree_edges)} tree edges on {b} bags is not a tree"
-        )
+    if len(edges) != b - 1:
+        shape = f"{len(edges)} tree edges on {b} bags is not a tree"
     else:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        is_tree = len(seen) == b
-        if not is_tree:
-            violations.append("bag tree is disconnected")
+        order, parent = _top_down(td)
+        shape = None if len(order) == b else "bag tree is disconnected"
+    if shape is None and _holds(g, masks, order, parent):
+        return TdReport(True, td.width)
+    return TdReport(False, td.width, _violations(g, td, shape))
 
-    # condition 1: bags cover all vertices
+
+def _top_down(td: TreeDecomposition) -> tuple[Iterable[int], list[int]]:
+    """For td with b - 1 tree edges: the bags bag 0 reaches, each after its
+    parent, and each bag's parent (-1 for bag 0 and the bags not reached).
+
+    When every bag but bag 0 has one tree edge to a smaller bag, the edges
+    form a tree that index order walks top-down, and no search runs.
+    """
+    b = len(td.masks)
+    parent = [-1] * b
+    for i, j in td.tree_edges:
+        lo, hi = (i, j) if i < j else (j, i)
+        if lo == hi or parent[hi] >= 0:
+            break
+        parent[hi] = lo
+    else:
+        return range(b), parent
+    adj = td.neighbors()
+    parent = [-1] * b
+    order = [0]
+    for i in order:
+        for j in adj[i]:
+            if j and parent[j] < 0:
+                parent[j] = i
+                order.append(j)
+    return order, parent
+
+
+def _holds(g: MultiGraph, masks: list[int], order: Iterable[int],
+           parent: list[int]) -> bool:
+    """Conditions 1-3 on a bag tree walked top-down by ``order``.
+
+    A vertex's bags induce a forest whose components are topped by the
+    bags that hold it and whose parent does not: its "new" bags.  So
+    condition 3 holds iff no vertex is new twice, and then the union of
+    the new sets is the union of the bags (condition 1, with no vertex
+    outside 0..n-1).  Once every vertex's bags form a subtree, the
+    subtrees of u and w meet iff the top bag of one holds the other
+    (condition 2).
+    """
+    n = g.n
+    top = [0] * n  # per vertex, the top bag holding it
+    seen = 0
+    for i in order:
+        bag = masks[i]
+        new = bag & ~masks[parent[i]] if i else bag
+        if new & seen or new >> n:
+            return False
+        seen |= new
+        while new:
+            low = new & -new
+            top[low.bit_length() - 1] = bag
+            new ^= low
+    if seen != (1 << n) - 1:
+        return False
+    for u, w in g._mult:
+        if not (top[u] >> w & 1 or top[w] >> u & 1):
+            return False
+    return True
+
+
+def _violations(g: MultiGraph, td: TreeDecomposition, shape: Optional[str]) -> list[str]:
+    """Every violation of td, named in order: tree shape, conditions 1 and
+    2, then condition 3 by a search per vertex among the bags holding it."""
+    n = g.n
+    violations = [] if shape is None else [shape]
+    holding: list[set[int]] = [set() for _ in range(n)]
+    known = (1 << n) - 1
+    union = 0
+    for i, bag in enumerate(td.masks):
+        union |= bag
+        for v in _members(bag & known):
+            holding[v].add(i)
     missing = [v for v in range(n) if not holding[v]]
     if missing:
         violations.append(f"condition 1: vertices {missing} in no bag")
-    if extra:
-        violations.append(f"bags mention unknown vertices {sorted(extra)}")
-
-    # condition 2: every edge inside some bag
-    for (u, v) in g._mult:
-        if holding[u].isdisjoint(holding[v]):
-            violations.append(f"condition 2: edge ({u},{v}) in no bag")
-
-    # condition 3: per-vertex bag sets induce subtrees.  In a tree, a set
-    # of k nodes induces a subtree iff k - 1 tree edges join two of them,
-    # so on a tree it is enough to count, per vertex, the edges whose two
-    # bags share it; any other bag graph gets a search per vertex.
-    if is_tree:
-        bags = td.bags
-        shared: dict[int, int] = {}
-        for i, j in td.tree_edges:
-            for v in bags[i] & bags[j]:
-                shared[v] = shared.get(v, 0) + 1
-        for v in range(n):
-            if holding[v] and shared.get(v, 0) != len(holding[v]) - 1:
-                violations.append(f"condition 3 at vertex {v}")
-        return TdReport(not violations, td.width, violations)
-    for v in range(n):
-        node_set = holding[v]
+    if union & ~known:
+        extra = list(_members(union & ~known))
+        violations.append(f"bags mention unknown vertices {extra}")
+    for u, w in g._mult:
+        if holding[u].isdisjoint(holding[w]):
+            violations.append(f"condition 2: edge ({u},{w}) in no bag")
+    adj = td.neighbors()
+    for v, node_set in enumerate(holding):
         if not node_set:
             continue
         start = min(node_set)
         seen = {start}
         stack = [start]
         while stack:
-            i = stack.pop()
-            for j in adj[i]:
+            for j in adj[stack.pop()]:
                 if j in node_set and j not in seen:
                     seen.add(j)
                     stack.append(j)
         if seen != node_set:
             violations.append(f"condition 3 at vertex {v}")
-
-    return TdReport(not violations, td.width, violations)
+    return violations
 
 
 def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
@@ -156,12 +211,17 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
     stack = [tree.root]
     while stack:
         i = stack.pop()
-        order.append(i)
-        stack.extend(reversed(kids_of[i]))
+        while True:  # down a chain of only children, past the stack
+            order.append(i)
+            kids = kids_of[i]
+            if len(kids) != 1:
+                break
+            i = kids[0]
+        stack.extend(reversed(kids))
     new_id = {old: new for new, old in enumerate(order)}
-    bags = [xs[i] for i in order]
+    masks = [xs[i] for i in order]
     edges = [(new_id[i], new_id[c]) for i in order for c in kids_of[i]]
-    return TreeDecomposition(bags, edges)
+    return TreeDecomposition._of_masks(masks, edges)
 
 
 def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
@@ -303,15 +363,14 @@ def treedec_by_elimination(g: MultiGraph,
             raise DomainError("elimination order must be a permutation of V")
     order, later = _eliminate(g.neighbour_masks, order)
     pos = {v: i for i, v in enumerate(order)}
-    bags: list[VertexSet] = []
+    masks: list[int] = []
     edges: list[tuple[int, int]] = []
     for i, (v, mask) in enumerate(zip(order, later)):
-        rest = _vertices(mask)
-        bags.append(rest | {v})
-        if rest:
+        masks.append(mask | 1 << v)
+        if mask:
             # the bag of the earliest later neighbour
-            edges.append((i, min(pos[w] for w in rest)))
-    return TreeDecomposition(bags, edges)
+            edges.append((i, min(pos[w] for w in _members(mask))))
+    return TreeDecomposition._of_masks(masks, edges)
 
 
 class RefinementMap(FrozenRecord):
@@ -413,8 +472,8 @@ def contract_refinement(g_original: MultiGraph, g_refined: MultiGraph,
 def _contract(td: TreeDecomposition, rmap: RefinementMap) -> TreeDecomposition:
     """Unchecked kernel of ``contract_refinement``: the caller has checked
     the map and knows td is a valid decomposition of the refinement."""
-    bags = []
-    for bag in td.bags:
-        new_bag = {c for c in map(rmap.collapse, bag) if c is not None}
-        bags.append(frozenset(new_bag))
-    return TreeDecomposition(bags, list(td.tree_edges))
+    masks = []
+    for bag in td.masks:
+        images = map(rmap.collapse, _members(bag))
+        masks.append(_mask(c for c in images if c is not None))
+    return TreeDecomposition._of_masks(masks, list(td.tree_edges))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chiptree.cli import main
@@ -173,6 +178,20 @@ class TestVerifyTd:
                            "--td", str(td_path))
         assert code == 1 and "invalid-treedec" in err
 
+    @pytest.mark.parametrize("text", [
+        "s td 2 2 2\nb 1 1 2\nb 2 1\nb 1 2\n1 2\n",
+        "s td 1 7 2\nb 1 1 2\n",
+    ], ids=["repeated-bag-id", "wrong-max-bag-size"])
+    def test_malformed_decomposition_is_bad_input(self, capsys, tmp_path, text):
+        # both used to be read: the repeated line replaced bag 1, and the
+        # header's size went unchecked
+        (tmp_path / "g.gr").write_text("p tw 2 1\n1 2\n")
+        (tmp_path / "bad.td").write_text(text)
+        code, out, err = run(capsys, "verify-td", "--input", str(tmp_path / "g.gr"),
+                             "--td", str(tmp_path / "bad.td"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed-input:") and err.count("\n") == 1
+
 
 @pytest.fixture()
 def fold_args(tmp_path):
@@ -244,3 +263,28 @@ class TestMorphismTd:
                              "--refinement", str(tmp_path / "missing.map"))
         assert code == 1 and out == ""
         assert err == "error: DomainError: --refinement needs --original\n"
+
+
+def test_optimized_interpreter_gives_the_same_output(tmp_path, doc_path, fold_args):
+    """Smoke test under ``python -O``, which strips ``assert``: treedec,
+    verify-td (valid and invalid) and morphism-td print the same stdout
+    and exit with the same codes as under plain ``python``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    good, bad = tmp_path / "good.td", tmp_path / "bad.td"
+    bad.write_text("s td 1 2 7\nb 1 1 2\n")
+    calls = [["treedec", "--input", doc_path, "--out", str(good)],
+             ["treedec", "--input", doc_path, "--format", "dot"],
+             ["verify-td", "--input", doc_path, "--td", str(good)],
+             ["verify-td", "--input", doc_path, "--td", str(bad)],
+             fold_args,
+             fold_args + ["--original", str(tmp_path / "banana.gr")]]
+    for argv in calls:
+        runs = [subprocess.run([sys.executable, *flags, "-m", "chiptree.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=60)
+                for flags in ([], ["-O"])]
+        assert [(r.returncode, r.stdout) for r in runs] == \
+            [(runs[0].returncode, runs[0].stdout)] * 2, argv
+        assert "Traceback" not in runs[1].stderr
+    assert good.read_text().startswith("s td 14 4 7\n")

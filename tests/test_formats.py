@@ -88,6 +88,9 @@ class TestTd:
         "s td 3 1 2\nb 1 1\nb 3 2\n",
         "s td 2 1 2\nb 1 1\nb 1 2\n",
         "s td -1 0 2\n",
+        "s td 2 2 2\nb 1 1 2\nb 2 1\nb 1 2\n1 2\n",  # bag 1 twice
+        "s td 1 7 2\nb 1 1 2\n",                     # max bag size 7, not 2
+        "s td 1 x 2\nb 1 1\n",
     ])
     def test_malformed(self, text):
         with pytest.raises(FormatError):

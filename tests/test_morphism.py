@@ -6,6 +6,7 @@ from chiptree import (
     Divisor,
     DomainError,
     FiniteMorphism,
+    InternalError,
     MultiGraph,
     build_mss,
     check_morphism,
@@ -17,7 +18,7 @@ from chiptree import (
     stable_treedec,
     validate_treedec,
 )
-from chiptree import treedec
+from chiptree import morphism, treedec
 from chiptree.fixtures import banana_graph, c4_to_p3_morphism, path_graph
 from chiptree.treedec import RefinementMap, treewidth_bruteforce
 
@@ -135,6 +136,19 @@ class TestMorphismToTreedec:
         t = MultiGraph(1, [])
         td = morphism_to_treedec(g, t, FiniteMorphism((0,), (), ()))
         assert td.bags == [frozenset({0})]
+
+    def test_fibers_above_the_degree_raise_internal_error(self, monkeypatch):
+        # a certificate that understates the degree: the size checks raise
+        # InternalError, also under python -O, where an assert would vanish
+        certify = morphism._harmonic_certificate
+
+        def degree_one(*args):
+            cert, report = certify(*args)
+            return morphism.HarmonicCertificate(cert.m, 1), report
+
+        monkeypatch.setattr(morphism, "_harmonic_certificate", degree_one)
+        with pytest.raises(InternalError, match="deg"):
+            morphism_to_treedec(*c4_to_p3_morphism())
 
     def test_disconnected_rejected(self):
         g = MultiGraph(4, [(0, 1), (2, 3)])

@@ -12,6 +12,7 @@ from chiptree import (
     DomainError,
     MultiGraph,
     Position,
+    TreeDecomposition,
     build_mss,
     fire_set,
     good_firing_set,
@@ -20,7 +21,7 @@ from chiptree import (
     validate_mss,
     validate_treedec,
 )
-from chiptree import gonality, strategy
+from chiptree import gonality, graph, strategy, treedec
 from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssNode, MssTree, MssViolation
 
 from conftest import (edit_node, grid_with_a_chip_per_row, multigraphs,
@@ -304,7 +305,7 @@ class TestValidateMss:
 
     def test_rejects_bad_root(self, fixture_graph):
         g = fixture_graph
-        tree = MssTree(searchers=4, xs=[frozenset({0})], territories=[(1 << g.n) - 2],
+        tree = MssTree(searchers=4, xs=[1], territories=[(1 << g.n) - 2],
                        moves=[LEAF], parents=[None], children=[()])
         report = validate_mss(g, tree, 4)
         assert not report.ok
@@ -365,26 +366,31 @@ class TestValidateMss:
 
 
 @pytest.mark.parametrize("where", ["searchers", "territory"])
-@pytest.mark.parametrize("vertex", [-1, "n", "a", 10**18],
-                         ids=["-1", "n", "label", "huge"])
+@pytest.mark.parametrize("vertex", [-1, "n", "a", 10**18, [1, 2]],
+                         ids=["-1", "n", "label", "huge", "list"])
 def test_validate_mss_rejects_a_vertex_outside_the_graph(fixture_graph, fixture_divisor,
                                                          where, vertex):
-    # a searcher "a" used to raise TypeError.  A territory is a mask, so
-    # the same cases are -1, a bit at n, the label itself and 10**18, an
-    # int above 2^n - 1; a mask with bit 10**18 would not fit in memory
+    # searcher sets and territories are masks, so the cases are -1, a bit
+    # at n, a label, 10**18 (an int above 2^n - 1; a mask with bit 10**18
+    # would not fit in memory) and a list of vertices.  A searcher "a" or
+    # a list used to raise TypeError, and so did the readers below, or
+    # they printed -1 as the vertices "ab"
     g = fixture_graph
     tree = build_mss(g, fixture_divisor)
-    if where == "searchers":
-        vertex = g.n if vertex == "n" else vertex
-        tree = edit_node(tree, 3, xs=tree.xs[3] | {vertex})
-    else:
-        r = tree.territories[3]
-        tree = edit_node(tree, 3, territories=r | 1 << g.n if vertex == "n" else vertex)
+    column = {"searchers": "xs", "territory": "territories"}[where]
+    entry = getattr(tree, column)[3] | 1 << g.n if vertex == "n" else vertex
+    tree = edit_node(tree, 3, **{column: entry})
     report = validate_mss(g, tree, 4)
     assert MssViolation(3, "searchers or territory name a vertex outside 0..6") \
         in report.violations
     with pytest.raises(DomainError):
         mss_to_treedec(g, tree)
+    for read in (tree.to_text, tree.to_dot):
+        with pytest.raises(DomainError, match="not a vertex mask"):
+            read(g)
+    if vertex in (-1, "a", [1, 2]):
+        with pytest.raises(DomainError, match="not a vertex mask"):
+            tree.nodes
 
 
 def test_validate_mss_rejects_columns_of_different_lengths(fixture_graph, fixture_divisor):
@@ -453,6 +459,34 @@ def test_pipeline_makes_no_node_records(monkeypatch, fixture_graph, fixture_divi
     assert made == {Position: 14, MssNode: 14}
 
 
+def test_pipeline_builds_no_vertex_set(monkeypatch, fixture_graph, fixture_divisor):
+    """Operation-count guard on the golden fixture: rank test, strategy,
+    decomposition and validation work on masks.  They call
+    ``graph._vertices`` 0 times and never read ``TreeDecomposition.bags``,
+    which builds a frozenset per bag on each read."""
+    calls = {"_vertices": 0, "bags": 0}
+    vertices, bags = graph._vertices, TreeDecomposition.bags
+
+    def counting_vertices(mask):
+        calls["_vertices"] += 1
+        return vertices(mask)
+
+    def counting_bags(td):
+        calls["bags"] += 1
+        return bags.fget(td)
+
+    for module in (graph, strategy, treedec):
+        monkeypatch.setattr(module, "_vertices", counting_vertices)
+    monkeypatch.setattr(TreeDecomposition, "bags", property(counting_bags))
+    g, d = fixture_graph, fixture_divisor
+    assert has_positive_rank(g, d)
+    td = mss_to_treedec(g, build_mss(g, d))
+    assert validate_treedec(g, td).ok
+    assert calls == {"_vertices": 0, "bags": 0}
+    assert len(td.bags) == 14
+    assert calls == {"_vertices": 14, "bags": 1}
+
+
 def test_equality_hash_and_pickle_read_the_columns(monkeypatch):
     """Guard on the 40 x 40 grid with one chip per row: ``==``, ``hash`` and
     ``pickle.dumps`` of a built tree construct no node record and each
@@ -496,7 +530,7 @@ def test_columns_round_trip_through_records(instance):
     g, d = instance
     tree = build_mss(g, d)
     nodes = tree.nodes
-    assert [n.position.searchers for n in nodes] == list(tree.xs)
+    assert [sum(1 << v for v in n.position.searchers) for n in nodes] == list(tree.xs)
     assert [sum(1 << v for v in n.position.territory) for n in nodes] == \
         list(tree.territories)
     assert [(n.move, n.parent, n.children) for n in nodes] == \

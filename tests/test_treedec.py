@@ -123,26 +123,48 @@ class TestValidate:
             ]
 
 
-def _corruptions(rng, td):
+def _corruptions(rng, g, td):
     """A decomposition with one defect each: a vertex dropped from a bag,
-    a tree edge removed, and a vertex added to a bag away from its subtree."""
+    a tree edge removed, a vertex added to a bag away from its subtree, an
+    unknown vertex added, a tree edge made a self-loop, and two tree edges
+    to one bag from smaller bags; and td itself with its tree edges
+    reversed and shuffled, which is valid."""
     bags, edges = list(td.bags), list(td.tree_edges)
+    b = len(bags)
+
+    def with_bag(i, bag):
+        return TreeDecomposition(bags[:i] + [bag] + bags[i + 1:], edges)
+
     full = [i for i, bag in enumerate(bags) if bag]
     i = rng.choice(full)
-    dropped = bags[:i] + [bags[i] - {rng.choice(sorted(bags[i]))}] + bags[i + 1:]
-    yield "dropped", TreeDecomposition(dropped, edges)
+    yield "dropped", with_bag(i, bags[i] - {rng.choice(sorted(bags[i]))})
     if edges:
         cut = rng.randrange(len(edges))
         yield "cut", TreeDecomposition(bags, edges[:cut] + edges[cut + 1:])
     v = rng.choice(sorted(set().union(*bags)))
     j = rng.choice([k for k, bag in enumerate(bags) if v not in bag] or [0])
-    added = bags[:j] + [bags[j] | {v}] + bags[j + 1:]
-    yield "added", TreeDecomposition(added, edges)
+    yield "added", with_bag(j, bags[j] | {v})
+    j = rng.randrange(b)
+    yield "unknown", with_bag(j, bags[j] | {g.n + rng.randrange(3)})
+    if edges:
+        flipped = [(j, i) for i, j in edges]
+        rng.shuffle(flipped)
+        yield "reversed", TreeDecomposition(bags, flipped)
+        k = rng.randrange(len(edges))
+        loop = rng.choice(edges[k])
+        yield "self-loop", TreeDecomposition(bags, edges[:k] + [(loop, loop)] + edges[k + 1:])
+    if b >= 3:
+        c = rng.randrange(2, b)
+        twice = edges[:b - 3] + [(a, c) for a in rng.sample(range(c), 2)]
+        rng.shuffle(twice)
+        yield "two-parents", TreeDecomposition(bags, twice)
 
 
 def test_one_pass_validation_matches_bag_scans_on_corruptions():
     rng = random.Random(4242)
-    rejected = {"dropped": 0, "cut": 0, "added": 0}
+    kinds = ("dropped", "cut", "added", "unknown", "reversed", "self-loop", "two-parents")
+    rejected = dict.fromkeys(kinds, 0)
+    made = dict.fromkeys(kinds, 0)
     for _ in range(60):
         g = random_connected_multigraph(rng, rng.randint(2, 7))
         d = next((d for d in effective_divisors(g.n, rng.randint(1, 3))
@@ -150,11 +172,27 @@ def test_one_pass_validation_matches_bag_scans_on_corruptions():
         td = (mss_to_treedec(g, build_mss(g, d)) if d is not None
               else treedec_by_elimination(g))
         assert validate_treedec(g, td).violations == []
-        for kind, bad in _corruptions(rng, td):
+        for kind, bad in _corruptions(rng, g, td):
             violations = validate_treedec(g, bad).violations
             assert violations == treedec_violations_by_scan(g, bad), kind
+            made[kind] += 1
             rejected[kind] += bool(violations)
+    assert rejected.pop("reversed") == 0 and made["reversed"]
     assert all(rejected.values()), rejected
+
+
+def test_bags_are_masks():
+    """A decomposition stores one mask per bag; ``bags`` is a view built
+    on each read, and pickle keeps the masks."""
+    td = TreeDecomposition([{0, 2}, frozenset(), [1, 1]], [(0, 1), (1, 2)])
+    assert td.masks == [0b101, 0, 0b10] and td.width == 1
+    assert td.bags == [frozenset({0, 2}), frozenset(), frozenset({1})]
+    assert td.bags is not td.bags
+    for copied in (pickle.loads(pickle.dumps(td)), copy.deepcopy(td)):
+        assert copied == td and copied.masks == td.masks
+    for member in (-1, "a", 1.0, None):
+        with pytest.raises(DomainError, match="bag 1 holds"):
+            TreeDecomposition([{0}, [1, member]], [(0, 1)])
 
 
 class TestTrustedStrategy:
