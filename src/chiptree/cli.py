@@ -19,6 +19,7 @@ from .errors import ChipTreeError, DomainError, FormatError, GraphError
 if TYPE_CHECKING:
     from .divisors import Divisor
     from .graph import MultiGraph
+    from .strategy import MssTree
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,26 +47,27 @@ def _load_graph(args) -> tuple[MultiGraph, Divisor | None]:
     return g, d
 
 
-def _need_divisor(g: MultiGraph, d: Divisor | None) -> Divisor:
+def _load_divisor(args) -> tuple[MultiGraph, Divisor]:
+    g, d = _load_graph(args)
     if d is None:
         raise DomainError("no divisor given; use --divisor or a document with one")
-    return d
+    return g, d
 
 
-def _trace_mss(g, enabled):
-    trace = [] if enabled else None
-
-    def flush():
-        if not trace:
-            return
-        for step, pos, detail in trace:
-            line = f"trace step {step} at ({pos.label(g)})"
-            if step == "III":
-                d2, u = detail
-                line += f" fire {g.set_name(u)} from {d2.format(g)}"
-            print(line, file=sys.stderr)
-
-    return trace, flush
+def _build_mss(args) -> tuple[MultiGraph, MssTree]:
+    """The strategy for the loaded divisor; with ``--trace``, its
+    construction steps and fired sets go to stderr."""
+    from .strategy import build_mss
+    g, d = _load_divisor(args)
+    trace = [] if args.trace else None
+    tree = build_mss(g, d, trace=trace)
+    for step, pos, detail in trace or ():
+        line = f"trace step {step} at ({pos.label(g)})"
+        if step == "III":
+            d2, u = detail
+            line += f" fire {g.set_name(u)} from {d2.format(g)}"
+        print(line, file=sys.stderr)
+    return g, tree
 
 
 def cmd_info(args) -> int:
@@ -83,8 +85,7 @@ def cmd_info(args) -> int:
 
 def cmd_reduce(args) -> int:
     from .divisors import q_reduce
-    g, d = _load_graph(args)
-    d = _need_divisor(g, d)
+    g, d = _load_divisor(args)
     q = g.vertex_index(args.q)
     reduced, script = q_reduce(g, d, q)
     script_text = " ".join(
@@ -96,8 +97,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_dhar(args) -> int:
     from .divisors import dhar
-    g, d = _load_graph(args)
-    d = _need_divisor(g, d)
+    g, d = _load_divisor(args)
     q = g.vertex_index(args.q)
     u = dhar(g, d, q)
     _emit(f"fireable-set: {g.set_name(u)}\n", args.out)
@@ -106,8 +106,7 @@ def cmd_dhar(args) -> int:
 
 def cmd_rank(args) -> int:
     from .gonality import has_positive_rank
-    g, d = _load_graph(args)
-    d = _need_divisor(g, d)
+    g, d = _load_divisor(args)
     result = has_positive_rank(g, d)
     _emit(f"positive-rank: {str(result).lower()}\n", args.out)
     return EXIT_OK
@@ -128,24 +127,14 @@ def cmd_gonality(args) -> int:
 
 
 def cmd_mss(args) -> int:
-    from .strategy import build_mss
-    g, d = _load_graph(args)
-    d = _need_divisor(g, d)
-    trace, flush = _trace_mss(g, args.trace)
-    tree = build_mss(g, d, trace=trace)
-    flush()
+    g, tree = _build_mss(args)
     _emit(tree.to_dot(g) if args.format == "dot" else tree.to_text(g), args.out)
     return EXIT_OK
 
 
 def cmd_treedec(args) -> int:
-    from .strategy import build_mss
     from .treedec import mss_to_treedec
-    g, d = _load_graph(args)
-    d = _need_divisor(g, d)
-    trace, flush = _trace_mss(g, args.trace)
-    tree = build_mss(g, d, trace=trace)
-    flush()
+    g, tree = _build_mss(args)
     td = mss_to_treedec(g, tree)
     if args.format == "dot":
         _emit(td.to_dot(g), args.out)

@@ -120,12 +120,14 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
     _require_divisor(g, d)
     uset = frozenset(u)
     _require_vertices(g, uset)
+    room = [-1] * g.n
     for v in uset:
         out = g.outdeg(uset, v)
         if out > d[v]:
             raise NotFireableError(v, out, d[v])
+        room[v] = d[v] - out
     chips = list(d.chips)
-    _fire(g._adj, chips, uset)
+    _fire_unburnt(g._adj, chips, room)
     return Divisor(chips)
 
 
@@ -205,13 +207,17 @@ def _burn(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
     return room, len(burnt)
 
 
-def _fire(adj: list[tuple[tuple[int, int], ...]], chips: list[int], u) -> None:
-    """Fire the set u once, in place; legality is the caller's."""
-    for v in u:
-        for w, m in adj[v]:
-            if w not in u:
-                chips[v] -= m
-                chips[w] += m
+def _fire_unburnt(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
+                  room: list[int]) -> None:
+    """Fire the unburnt set U of a burn, the v with room(v) >= 0, once, in
+    place: v in U sends a chip along each edge leaving U and is left with
+    room(v) = chips(v) - outdeg_U(v).  ``fire_set`` writes such a room."""
+    for v, left in enumerate(room):
+        if left >= 0:
+            chips[v] = left
+            for w, m in adj[v]:
+                if room[w] < 0:
+                    chips[w] += m
 
 
 def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,

@@ -36,20 +36,28 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _ints(tokens: list[str], line: str, what: str) -> list[int]:
+    """The tokens as ints; a token that is not one is a bad ``what``."""
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise FormatError(f"bad {what}: {line!r}") from None
+
+
 # -- PACE .gr graphs -------------------------------------------------------
 
 def parse_gr(text: str) -> MultiGraph:
     """Header ``p tw <n> <m>``, then 1-based edge lines; duplicates stack."""
-    lines = _content_lines(text)
+    return _parse_gr(_content_lines(text))
+
+
+def _parse_gr(lines: list[str]) -> MultiGraph:
     if not lines:
         raise FormatError("empty .gr input")
     header = lines[0].split()
     if len(header) != 4 or header[0] != "p" or header[1] != "tw":
         raise FormatError(f"bad .gr header: {lines[0]!r}")
-    try:
-        n, m = int(header[2]), int(header[3])
-    except ValueError:
-        raise FormatError(f"bad .gr header: {lines[0]!r}") from None
+    n, m = _ints(header[2:], lines[0], ".gr header")
     if n > MAX_GR_VERTICES:
         raise FormatError(
             f".gr header declares {n} vertices, above the cap {MAX_GR_VERTICES}"
@@ -59,10 +67,7 @@ def parse_gr(text: str) -> MultiGraph:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"bad edge line: {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad edge line: {line!r}") from None
+        u, v = _ints(parts, line, "edge line")
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError(f"edge ({u},{v}) outside 1..{n}")
         edges.append((u - 1, v - 1))
@@ -93,10 +98,7 @@ def parse_td(text: str) -> TreeDecomposition:
     header = lines[0].split()
     if len(header) != 5 or header[0] != "s" or header[1] != "td":
         raise FormatError(f"bad .td header: {lines[0]!r}")
-    try:
-        num_bags, max_bag, n = map(int, header[2:])
-    except ValueError:
-        raise FormatError(f"bad .td header: {lines[0]!r}") from None
+    num_bags, max_bag, n = _ints(header[2:], lines[0], ".td header")
     if n > MAX_GR_VERTICES:
         raise FormatError(
             f".td header declares {n} vertices, above the cap {MAX_GR_VERTICES}"
@@ -124,10 +126,7 @@ def parse_td(text: str) -> TreeDecomposition:
         else:
             if len(parts) != 2:
                 raise FormatError(f"bad tree edge line: {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"bad tree edge line: {line!r}") from None
+            i, j = _ints(parts, line, "tree edge line")
             edges.append((i - 1, j - 1))
     # ids are unique keys in 1..num_bags, so a full count means all of them
     if len(masks) != num_bags:
@@ -156,9 +155,11 @@ def write_td(td: TreeDecomposition, n: int) -> str:
 # -- divisors --------------------------------------------------------------
 
 def parse_divisor(text: str, g: MultiGraph) -> Divisor:
-    """Sparse ``<vertex>:<chips>`` tokens; omitted vertices hold 0 chips."""
+    """Sparse ``<vertex>:<chips>`` tokens; omitted vertices hold 0 chips.
+    A lone ``0`` is the zero divisor, as ``Divisor.format`` writes it."""
     chips = [0] * g.n
-    for token in text.split():
+    tokens = text.split()
+    for token in tokens if tokens != ["0"] else ():
         if ":" not in token:
             raise FormatError(f"bad divisor token {token!r}")
         name, _, amount = token.rpartition(":")
@@ -184,7 +185,10 @@ def parse_document(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
         divisor a:3
         divisor-dense 3 0 0    (alternative to the sparse form)
     """
-    lines = _content_lines(text)
+    return _parse_document(_content_lines(text))
+
+
+def _parse_document(lines: list[str]) -> tuple[MultiGraph, Optional[Divisor]]:
     if not lines or not lines[0].startswith("format "):
         raise FormatError("document must start with a 'format' line")
     version = lines[0].split(None, 1)[1]
@@ -219,10 +223,7 @@ def parse_document(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
     g = MultiGraph(len(labels), edges, labels=labels)
     divisor = None
     if dense_line is not None:
-        try:
-            chips = [int(tok) for tok in dense_line.split()]
-        except ValueError:
-            raise FormatError(f"bad divisor-dense line: {dense_line!r}") from None
+        chips = _ints(dense_line.split(), dense_line, "divisor-dense line")
         if len(chips) != g.n:
             raise FormatError("divisor-dense length does not match vertex count")
         divisor = Divisor(chips)
@@ -242,11 +243,12 @@ def write_document(g: MultiGraph, d: Optional[Divisor] = None) -> str:
 
 
 def parse_graph_auto(text: str) -> tuple[MultiGraph, Optional[Divisor]]:
-    """Dispatch between the .gr format and the document format."""
+    """Dispatch between the .gr format and the document format on the first
+    content line, and parse the lines once."""
     lines = _content_lines(text)
     if lines and lines[0].startswith("format "):
-        return parse_document(text)
-    return parse_gr(text), None
+        return _parse_document(lines)
+    return _parse_gr(lines), None
 
 
 # -- morphisms and refinement maps -----------------------------------------
@@ -261,10 +263,7 @@ def parse_morphism(text: str, g: MultiGraph, t: MultiGraph) -> FiniteMorphism:
         if parts[0] == "v" and len(parts) == 3:
             vmap[g.vertex_index(parts[1])] = t.vertex_index(parts[2])
         elif parts[0] == "e" and len(parts) == 4:
-            try:
-                eid, tid, idx = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(f"bad morphism edge line: {line!r}") from None
+            eid, tid, idx = _ints(parts[1:], line, "morphism edge line")
             emap[eid] = (tid, idx)
         else:
             raise FormatError(f"bad morphism line: {line!r}")

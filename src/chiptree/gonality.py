@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
@@ -119,11 +118,15 @@ def dgon_bruteforce(g: MultiGraph, max_degree: int,
     if max_degree < 1:
         raise DomainError("max_degree must be positive")
     _require_connected(g)
-    space = sum(math.comb(g.n + d - 1, d) for d in range(1, max_degree + 1))
-    if space > budget:
-        raise BudgetError(
-            f"search space of {space} divisors exceeds budget {budget}"
-        )
+    # the candidates number sum_{d=1..k} C(n+d-1, d) = C(n+k, k) - 1; the
+    # product for C(n+k, min(n, k)) stops once it passes the budget
+    space, i, big, small = 1, 0, max(g.n, max_degree), min(g.n, max_degree)
+    while i < small and space - 1 <= budget:
+        i += 1
+        space = space * (big + i) // i
+    if space - 1 > budget:
+        count = space - 1 if i == small else f"more than {budget}"
+        raise BudgetError(f"search space of {count} divisors exceeds budget {budget}")
     for degree in range(1, max_degree + 1):
         for d in _lex_ascending(g.n, degree):
             if has_positive_rank(g, d):

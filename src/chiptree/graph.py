@@ -97,6 +97,9 @@ class MultiGraph:
             adj[u].append((v, m))
             adj[v].append((u, m))
         self._adj = [tuple(pairs) for pairs in adj]
+        # the edges expanded with multiplicity, in sorted order: edge id i
+        # is position i, as the harmonic-morphism module reads it
+        self._edges = tuple(key for key, m in self._mult.items() for _ in range(m))
         # memos: connectivity, the last divisor that
         # ``gonality.has_positive_rank`` accepted, and ``neighbour_masks``.
         # Every attribute is set here, as attribute reads slow down on an
@@ -124,19 +127,13 @@ class MultiGraph:
 
     @property
     def edge_list(self) -> list[tuple[int, int]]:
-        """Edges expanded with multiplicity, in sorted order.
-
-        The position in this list serves as the edge id used by the
-        harmonic-morphism module.
-        """
-        out = []
-        for (u, v), m in self._mult.items():
-            out.extend([(u, v)] * m)
-        return out
+        """Edges expanded with multiplicity, in sorted order; the position
+        in this list is the edge id."""
+        return list(self._edges)
 
     @property
     def num_edges(self) -> int:
-        return sum(self._mult.values())
+        return len(self._edges)
 
     def adjacency(self, v: int) -> dict[int, int]:
         """Neighbors of v with multiplicities."""

@@ -43,16 +43,10 @@ def is_tree(t: MultiGraph) -> bool:
 def check_morphism(g: MultiGraph, t: MultiGraph,
                    f: FiniteMorphism) -> MorphismReport:
     """Verify incidence preservation and index positivity."""
-    return _check_morphism(g, t, f, g.edge_list)
-
-
-def _check_morphism(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
-                    g_edges: list[tuple[int, int]]) -> MorphismReport:
-    """``check_morphism`` with ``g.edge_list`` already read."""
     violations = []
     if not is_tree(t):
         violations.append("codomain is not a tree")
-    t_edges = t.edge_list
+    g_edges, t_edges = g._edges, t._edges
     if len(f.vertex_map) != g.n:
         violations.append("vertex_map length does not match |V(G)|")
     if len(f.edge_map) != len(g_edges) or len(f.index) != len(g_edges):
@@ -85,16 +79,10 @@ def harmonic_certificate(
     One pass each over E(G), V(G) and the two fiber-sum lists: the time is
     linear in |V| + |E| + |T|.
     """
-    return _harmonic_certificate(g, t, f, g.edge_list)
-
-
-def _harmonic_certificate(
-        g: MultiGraph, t: MultiGraph, f: FiniteMorphism, g_edges: list[tuple[int, int]],
-) -> tuple[Optional[HarmonicCertificate], MorphismReport]:
-    """``harmonic_certificate`` with ``g.edge_list`` already read."""
-    base = _check_morphism(g, t, f, g_edges)
+    base = check_morphism(g, t, f)
     if not base.ok:
         return None, base
+    g_edges = g._edges
     if not g_edges:
         return None, MorphismReport(False, ["graph has no edges"])
 
@@ -144,8 +132,8 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
     ``counter``, if given, receives one entry per elementary bag insertion
     (used to check the O(k^2 |V|) work bound).
     """
-    g_edges = g.edge_list
-    cert, report = _harmonic_certificate(g, t, f, g_edges)
+    cert, report = harmonic_certificate(g, t, f)
+    g_edges = g._edges
     if not g_edges:
         if g.n != 1:
             raise DomainError("edgeless graph must be a single vertex (connected)")

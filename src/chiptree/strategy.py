@@ -13,7 +13,7 @@ from collections import deque
 from itertools import compress
 from typing import Iterable, Iterator, Optional
 
-from .divisors import Divisor, _burn, _require_vertices
+from .divisors import Divisor, _burn, _fire_unburnt, _require_vertices
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
 from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around,
@@ -188,18 +188,6 @@ def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
     raise InternalError(
         f"good_firing_set did not finish within {bound} iterations"
     )
-
-
-def _fire_unburnt(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
-                  room: list[int]) -> None:
-    """Fire the unburnt set U of a burn once, in place: v in U sends a chip
-    along each edge into the fire and is left with room(v)."""
-    for v, left in enumerate(room):
-        if left >= 0:
-            chips[v] = left
-            for w, m in adj[v]:
-                if room[w] < 0:
-                    chips[w] += m
 
 
 def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:

@@ -172,8 +172,15 @@ def _violations(g: MultiGraph, td: TreeDecomposition, shape: Optional[str]) -> l
     missing = [v for v in range(n) if not holding[v]]
     if missing:
         violations.append(f"condition 1: vertices {missing} in no bag")
-    if union & ~known:
-        extra = list(_members(union & ~known))
+    union >>= n  # the members that name no vertex, bit 0 for member n
+    if union:
+        # named from the runs of nonzero bytes: bin(union) costs a byte per bit
+        import re
+        data = union.to_bytes(union.bit_length() + 7 >> 3, "little")
+        extra = []
+        for run in re.finditer(rb"[^\x00]+", data):
+            base = n + 8 * run.start()
+            extra += [base + v for v in _members(int.from_bytes(run[0], "little"))]
         violations.append(f"bags mention unknown vertices {extra}")
     for u, w in g._mult:
         if holding[u].isdisjoint(holding[w]):

@@ -1,20 +1,30 @@
+import io
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiptree.cli import main
-from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph
+from chiptree.fixtures import (c4_to_p3_morphism, example_divisor, example_graph,
+                               path_graph)
 from chiptree.formats import (
     parse_td,
     write_document,
     write_gr,
     write_morphism,
+    write_refinement_map,
     write_td,
 )
-from chiptree import validate_treedec
+from chiptree import (Divisor, FiniteMorphism, RefinementMap, treedec_by_elimination,
+                      validate_treedec)
+
+from conftest import multigraphs, random_harmonic_covering
 
 
 @pytest.fixture()
@@ -122,6 +132,17 @@ class TestRankAndGonality:
         code, out, _ = run(capsys, "gonality", "--input", doc_path,
                            "--max-degree", "2")
         assert code == 0 and "none up to degree 2" in out
+
+    def test_gonality_over_budget_fails_in_one_line(self, capsys, tmp_path):
+        # the path on 8,000 vertices: the exact count had too many digits to
+        # print, and the CLI ended in a ValueError traceback
+        path = tmp_path / "path.gr"
+        path.write_text(write_gr(path_graph(8000)))
+        code, out, err = run(capsys, "gonality", "--input", str(path),
+                             "--max-degree", "8000")
+        assert code == 1 and out == ""
+        assert err == ("error: BudgetError: search space of more than 5000000 "
+                       "divisors exceeds budget 5000000\n")
 
 
 class TestMssAndTreedec:
@@ -288,3 +309,77 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path, doc_path, fold_ar
             [(runs[0].returncode, runs[0].stdout)] * 2, argv
         assert "Traceback" not in runs[1].stderr
     assert good.read_text().startswith("s td 14 4 7\n")
+
+
+# -- the exit-code contract on generated input files -------------------------
+
+# tokens of every input format, for files that are almost well formed
+TOKENS = ["p", "tw", "s", "td", "b", "v", "e", "c", "format", "chiptree/1",
+          "vertices", "edge", "divisor", "divisor-dense", "orig", "sub", "leaf",
+          "0", "1", "2", "3", "-1", "x", "a", "a:2", "0:1", "1:-1"]
+soup = st.lists(st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join),
+                max_size=6).map("\n".join)
+
+
+@st.composite
+def input_files(draw):
+    """Files that fit one another: a graph, with or without a divisor, a
+    decomposition of it, a harmonic morphism from it to a tree (its
+    indices sometimes changed) and the identity refinement map.  One time
+    in four the graph is any small multigraph instead, and one time in
+    four a file is token soup."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g, t, f = random_harmonic_covering(rng, rng.randint(2, 3), rng.randint(2, 3))
+    if draw(st.booleans()):
+        f = FiniteMorphism(f.vertex_map, f.edge_map,
+                           tuple(rng.randint(0, 2) for _ in f.index))
+    order = list(range(g.n))
+    rng.shuffle(order)
+    files = {"td": write_td(treedec_by_elimination(g, order), g.n),
+             "t": write_gr(t), "m": write_morphism(f, g, t), "o": write_gr(g),
+             "r": write_refinement_map(RefinementMap.identity(g.n))}
+    if draw(st.integers(0, 3)) == 3:
+        g = draw(multigraphs())
+    chips = [rng.randint(0, 2) for _ in range(g.n)]
+    files["g"] = draw(st.sampled_from([write_gr(g), write_document(g, Divisor(chips))]))
+    return {name: text if draw(st.integers(0, 3)) < 3 else draw(soup)
+            for name, text in files.items()}
+
+
+CALLS = {
+    "info": ["info", "--input", "g"],
+    "reduce": ["reduce", "--input", "g", "--q", "0"],
+    "dhar": ["dhar", "--input", "g", "--q", "0"],
+    "rank": ["rank", "--input", "g"],
+    "gonality": ["gonality", "--input", "g", "--max-degree", "3"],
+    "mss": ["mss", "--input", "g", "--trace", "--format", "text"],
+    "treedec": ["treedec", "--input", "g", "--trace"],
+    "verify-td": ["verify-td", "--input", "g", "--td", "td"],
+    "morphism-td": ["morphism-td", "--input", "g", "--tree", "t", "--morphism", "m"],
+    "morphism-td --refinement": ["morphism-td", "--input", "g", "--tree", "t",
+                                 "--morphism", "m", "--original", "o",
+                                 "--refinement", "r"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", CALLS)
+@settings(max_examples=20, deadline=None)
+@given(files=input_files())
+def test_exit_code_contract_on_generated_files(fuzz_dir, command, files):
+    """Every subcommand exits 0, 1 or 2 without an escaping exception, and
+    a failure leaves exactly one ``error:`` line on stderr."""
+    for name, text in files.items():
+        (fuzz_dir / name).write_text(text)
+    argv = [str(fuzz_dir / a) if a in files else a for a in CALLS[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiptree import Divisor, FormatError, MultiGraph, TreeDecomposition
-from chiptree.fixtures import banana_graph, c4_to_p3_morphism, example_graph
+from chiptree import (Divisor, FiniteMorphism, FormatError, MultiGraph,
+                      TreeDecomposition, build_mss, has_positive_rank, mss_to_treedec,
+                      treedec_by_elimination)
+from chiptree import formats
+from chiptree.fixtures import banana_graph, c4_to_p3_morphism, example_graph, path_graph
 from chiptree.formats import (
     MAX_GR_VERTICES,
     parse_divisor,
@@ -20,7 +25,18 @@ from chiptree.formats import (
     write_td,
 )
 
-from conftest import random_connected_multigraph, random_refinement
+from conftest import (multigraphs, random_connected_multigraph,
+                      random_effective_divisor, random_refinement)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A multigraph whose vertices have unique labels without whitespace;
+    a label may look like another vertex's index or hold a colon."""
+    g = draw(multigraphs())
+    labels = draw(st.lists(st.text("ab01:_-", min_size=1, max_size=3),
+                           min_size=g.n, max_size=g.n, unique=True))
+    return MultiGraph(g.n, g.edge_list, labels)
 
 
 class TestGr:
@@ -78,6 +94,25 @@ class TestTd:
         )
         assert parse_td(write_td(td, 3)) == td
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_roundtrip_elimination_orders(self, rng):
+        g = random_connected_multigraph(rng, rng.randint(2, 8))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        td = treedec_by_elimination(g, order)
+        assert parse_td(write_td(td, g.n)) == td
+
+    def test_roundtrip_built_from_strategies(self):
+        rng = random.Random(29)
+        for _ in range(25):
+            g = random_connected_multigraph(rng, rng.randint(2, 7))
+            d = random_effective_divisor(rng, g.n, rng.randint(1, g.n))
+            if not has_positive_rank(g, d):
+                d = Divisor([c + 1 for c in d.chips])
+            td = mss_to_treedec(g, build_mss(g, d))
+            assert parse_td(write_td(td, g.n)) == td
+
     @pytest.mark.parametrize("text", [
         "",
         "s td 2 2\n",
@@ -116,6 +151,13 @@ class TestDivisorText:
         g = MultiGraph(3, [(0, 1), (1, 2)])
         assert parse_divisor("0:1 2:4", g) == Divisor((1, 0, 4))
 
+    def test_zero_divisor_reads_back(self):
+        g = example_graph()
+        assert Divisor.zero(7).format(g) == "0"
+        assert parse_divisor("0", g) == Divisor.zero(7)
+        with pytest.raises(FormatError):
+            parse_divisor("0 a:1", g)
+
     def test_bad_tokens(self):
         g = example_graph()
         with pytest.raises(FormatError):
@@ -144,6 +186,15 @@ class TestDocument:
         assert [g.vertex_name(v) for v in range(g.n)] == list("abcdefg")
         assert d == fixture_divisor
 
+    @settings(max_examples=50, deadline=None)
+    @given(labelled_graphs(), st.data())
+    def test_roundtrip_labels_parallel_edges_and_divisor(self, g, data):
+        d = Divisor(data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n)))
+        back, back_d = parse_document(write_document(g, d))
+        assert back == g and back.labels == g.labels
+        assert back.edge_list == g.edge_list
+        assert back_d == d
+
     @pytest.mark.parametrize("text", [
         "vertices a b\n",
         "format chiptree/2\nvertices a\n",
@@ -166,10 +217,40 @@ class TestAutoDispatch:
         g, d = parse_graph_auto("p tw 2 1\n1 2\n")
         assert g.n == 2 and d is None
 
+    def test_splits_the_lines_once(self, monkeypatch, fixture_graph, fixture_divisor):
+        """Operation-count guard: one ``_content_lines`` pass per call, as
+        the dispatch reads the first of the lines the parser gets."""
+        passes = []
+        content_lines = formats._content_lines
+
+        def counting(text):
+            passes.append(text)
+            return content_lines(text)
+
+        monkeypatch.setattr(formats, "_content_lines", counting)
+        for text in (write_gr(fixture_graph),
+                     write_document(fixture_graph, fixture_divisor)):
+            passes.clear()
+            g, _ = parse_graph_auto(text)
+            assert g == fixture_graph and passes == [text]
+
 
 class TestMorphismText:
     def test_roundtrip_fold(self):
         g, t, f = c4_to_p3_morphism()
+        assert parse_morphism(write_morphism(f, g, t), g, t) == f
+
+    @settings(max_examples=30, deadline=None)
+    @given(labelled_graphs(), st.integers(1, 4), st.data())
+    def test_roundtrip_random_maps(self, g, tree_size, data):
+        t = path_graph(tree_size)
+
+        def draws(values, size):
+            return tuple(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        f = FiniteMorphism(draws(st.integers(0, tree_size - 1), g.n),
+                           draws(st.integers(0, 5), g.num_edges),
+                           draws(st.integers(-2, 5), g.num_edges))
         assert parse_morphism(write_morphism(f, g, t), g, t) == f
 
     def test_missing_edge_rejected(self):

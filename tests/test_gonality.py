@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -107,6 +109,36 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError):
             dgon_bruteforce(cycle_graph(5), 4, budget=10)
+
+    def test_budget_counts_exactly_when_the_product_completes(self):
+        for n in range(1, 8):
+            g = path_graph(n)
+            for k in range(1, 8):
+                space = sum(math.comb(n + d - 1, d) for d in range(1, k + 1))
+                for budget in (space - 1, space):
+                    if space <= budget:
+                        assert dgon_bruteforce(g, k, budget=budget).value == 1
+                        continue
+                    with pytest.raises(BudgetError) as exc:
+                        dgon_bruteforce(g, k, budget=budget)
+                    assert str(exc.value) in (
+                        f"search space of {space} divisors exceeds budget {budget}",
+                        f"search space of more than {budget} divisors exceeds "
+                        f"budget {budget}")
+        g, _ = grid_with_a_chip_per_row(6)
+        with pytest.raises(BudgetError, match="^search space of 5245785 divisors "
+                                              "exceeds budget 5000000$"):
+            dgon_bruteforce(g, 6)
+
+    @pytest.mark.parametrize("n, k", [(8000, 8000), (10**5, 10**9)])
+    def test_budget_check_stops_once_past_the_budget(self, n, k):
+        # summing every binomial took 18 s for (8000, 8000), and the count
+        # then had too many digits to print
+        g = path_graph(n)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="^search space of more than 5000000 "):
+            dgon_bruteforce(g, k)
+        assert time.perf_counter() - start < 1
 
 
 class TestGonality:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -121,6 +122,20 @@ class TestValidate:
             assert validate_treedec(g, td).violations == [
                 f"tree edge ({i},{j}) names a bag outside 0..1"
             ]
+
+    def test_member_far_above_n_is_named_in_little_memory(self):
+        # naming it through bin() of the bags' union held a 10^8-digit
+        # string: 127 MB; the mask itself is 12.5 MB
+        g = MultiGraph(2, [(0, 1)])
+        td = TreeDecomposition([{0, 1, 10**8}], [])
+        tracemalloc.start()
+        try:
+            report = validate_treedec(g, td)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.violations == ["bags mention unknown vertices [100000000]"]
+        assert peak < 40e6
 
 
 def _corruptions(rng, g, td):
