@@ -100,17 +100,22 @@ class MultiGraph:
         # the edges expanded with multiplicity, in sorted order: edge id i
         # is position i, as the harmonic-morphism module reads it
         self._edges = tuple(key for key, m in self._mult.items() for _ in range(m))
-        # memos: connectivity, the last divisor that
-        # ``gonality.has_positive_rank`` accepted, and ``neighbour_masks``.
-        # Every attribute is set here, as attribute reads slow down on an
-        # instance that gains one later.
+        # memos: connectivity, the rank verdicts of
+        # ``gonality.has_positive_rank`` by chip tuple, and
+        # ``neighbour_masks``.  Every attribute is set here, as attribute
+        # reads slow down on an instance that gains one later.
         self._connected: Optional[bool] = None
-        self._positive_rank: Optional[tuple[int, ...]] = None
+        self._ranks: dict[tuple[int, ...], bool] = {}
         self._neighbour_masks: Optional[list[int]] = None
         if labels is not None:
             labels = list(labels)
             if len(labels) != n:
                 raise GraphError("label list length does not match vertex count")
+            for name in labels:
+                # a document separates labels by whitespace
+                if not isinstance(name, str) or name.split() != [name]:
+                    raise GraphError(f"vertex label {name!r} must be a nonempty "
+                                     "string without whitespace")
             if len(set(labels)) != n:
                 raise GraphError("vertex labels must be unique")
         self.labels = labels
@@ -182,6 +187,10 @@ class MultiGraph:
 
     def __hash__(self):
         return hash((self.n, tuple(self._mult.items())))
+
+    def __reduce__(self):
+        # pickles and copies rebuild the graph, and carry no memo
+        return MultiGraph, (self.n, self._edges, self.labels)
 
     # -- structural queries ------------------------------------------------
 

@@ -3,12 +3,14 @@ an exact brute-force treewidth oracle, and refinement contraction."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import BudgetError, DomainError
 from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _mask, _members,
                     _vertices)
-from .strategy import MssTree, validate_mss
+
+if TYPE_CHECKING:
+    from .strategy import MssTree
 
 
 class TreeDecomposition(Record):
@@ -210,6 +212,8 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
     construction; every other tree is checked with ``validate_mss`` first.
     """
     if tree._built_for is not g:
+        # imported here: ``verify-td`` and ``morphism-td`` load no strategy code
+        from .strategy import validate_mss
         report = validate_mss(g, tree, tree.searchers)
         if not report.ok:
             raise DomainError(f"invalid search strategy: {report.first().reason}")

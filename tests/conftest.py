@@ -119,6 +119,15 @@ def reachable_effective_divisors(g: MultiGraph, d: Divisor) -> set:
     return seen
 
 
+def rank_oracle(g: MultiGraph, d: Divisor) -> bool:
+    """Positive rank via closure under firing: every vertex must appear in
+    the support of some reachable effective divisor."""
+    reachable = reachable_effective_divisors(g, d)
+    return all(
+        any(chips[v] >= 1 for chips in reachable) for v in range(g.n)
+    )
+
+
 def laplacian(g: MultiGraph) -> list[list[int]]:
     """Integer Laplacian from the edge multiplicities: degrees on the
     diagonal, minus multiplicities off it."""

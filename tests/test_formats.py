@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiptree import (Divisor, FiniteMorphism, FormatError, MultiGraph,
+from chiptree import (Divisor, FiniteMorphism, FormatError, GraphError, MultiGraph,
                       TreeDecomposition, build_mss, has_positive_rank, mss_to_treedec,
                       treedec_by_elimination)
 from chiptree import formats
@@ -194,6 +194,20 @@ class TestDocument:
         assert back == g and back.labels == g.labels
         assert back.edge_list == g.edge_list
         assert back_d == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True),
+           st.data())
+    def test_any_label_reads_back_or_is_refused(self, labels, data):
+        n = len(labels)
+        try:
+            g = MultiGraph(n, [(v - 1, v) for v in range(1, n)], labels)
+        except GraphError:
+            assert any(name.split() != [name] for name in labels)
+            return
+        d = Divisor(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        back, back_d = parse_document(write_document(g, d))
+        assert back == g and back.labels == g.labels and back_d == d
 
     @pytest.mark.parametrize("text", [
         "vertices a b\n",

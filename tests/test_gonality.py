@@ -1,6 +1,9 @@
+import copy
+import gc
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +12,7 @@ from chiptree import (
     Divisor,
     DomainError,
     MultiGraph,
+    build_mss,
     dgon_bruteforce,
     effective_divisors,
     has_positive_rank,
@@ -17,17 +21,7 @@ from chiptree import gonality
 from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
 from chiptree.gonality import _lex_ascending
 
-from conftest import (grid_with_a_chip_per_row, random_connected_multigraph,
-                      reachable_effective_divisors)
-
-
-def rank_oracle(g, d):
-    """Positive rank via closure under firing: every vertex must appear in
-    the support of some reachable effective divisor."""
-    reachable = reachable_effective_divisors(g, d)
-    return all(
-        any(chips[v] >= 1 for chips in reachable) for v in range(g.n)
-    )
+from conftest import grid_with_a_chip_per_row, random_connected_multigraph, rank_oracle
 
 
 class TestPositiveRank:
@@ -99,6 +93,112 @@ def test_rank_test_continues_from_the_last_reduction(monkeypatch):
     # one chip list, advanced in place across every q
     assert all(chips is calls[0][1] for _, chips in calls)
     assert len(calls) <= 2 * k
+
+
+# -- the rank memo ----------------------------------------------------------
+
+def count_burns(monkeypatch) -> list[int]:
+    """A one-item list that counts the rank test's Dhar burns from here on."""
+    calls = [0]
+    burn = gonality._burn
+
+    def counting(*args):
+        calls[0] += 1
+        return burn(*args)
+
+    monkeypatch.setattr(gonality, "_burn", counting)
+    return calls
+
+
+def test_rank_memo_agrees_with_the_firing_closure_oracle():
+    """Every effective divisor of degree <= 3 on random multigraphs with
+    n <= 6.  A fresh copy of each graph is tested in ascending, descending
+    and shuffled order, and then again after ``dgon_bruteforce`` has run
+    on the same copy, so most answers of that pass come from the memo."""
+    rng = random.Random(4242)
+    for _ in range(12):
+        g = random_connected_multigraph(rng, rng.randint(2, 6), max_mult=2)
+        divisors = sorted((d for k in range(4) for d in effective_divisors(g.n, k)),
+                          key=lambda d: d.chips)
+        expected = {d: rank_oracle(g, d) for d in divisors}
+        shuffled = rng.sample(divisors, len(divisors))
+        for order in (divisors, divisors[::-1], shuffled):
+            h = copy.copy(g)
+            assert [has_positive_rank(h, d) for d in order] == [expected[d] for d in order]
+            dgon_bruteforce(h, 3)
+            assert [has_positive_rank(h, d) for d in order] == [expected[d] for d in order]
+
+
+def test_rank_memo_halves_the_corpus_burns(monkeypatch):
+    """Operation-count guard on the first 40 graphs of the seeded acceptance
+    corpus (5,989 rank tests, 916 accepted): every effective divisor of
+    degree 1..4 is tested in the benchmark's order, and an accepted one
+    goes on to ``build_mss``.  The rank tests burned 14,103 times when the
+    graph remembered only the last accepted divisor, and 6,803 times with
+    the verdict memo."""
+    calls = count_burns(monkeypatch)
+    rng = random.Random(20240824)
+    tests = accepted = 0
+    for _ in range(40):
+        g = random_connected_multigraph(rng, rng.randint(2, 8), max_mult=3)
+        for degree in range(1, 5):
+            for d in effective_divisors(g.n, degree):
+                tests += 1
+                if has_positive_rank(g, d):
+                    accepted += 1
+                    build_mss(g, d)
+    assert (tests, accepted) == (5_989, 916)
+    assert calls[0] <= 6_803
+
+
+def test_rank_memo_stores_nothing_for_a_rejection_at_the_first_burn():
+    g = cycle_graph(4)
+    for v in range(g.n):
+        assert not has_positive_rank(g, Divisor.single(g.n, v))
+    assert g._ranks == {}
+
+
+def test_a_test_past_the_memo_cap_keeps_only_its_divisor(monkeypatch):
+    """With room for ten keys, the 19 rounds of the 20 x 20 grid test do
+    not fit: the memo drops what it held and keeps the tested divisor, so
+    ``build_mss`` still burns no rank-test round."""
+    g, d = grid_with_a_chip_per_row(20)
+    monkeypatch.setattr(gonality, "_RANK_MEMO_CHIPS", 10 * g.n)
+    two = Divisor.single(g.n, 0, 2)
+    assert not has_positive_rank(g, two)
+    assert two.chips in g._ranks and 1 < len(g._ranks) <= 10
+    assert has_positive_rank(g, d)
+    assert g._ranks == {d.chips: True}
+    calls = count_burns(monkeypatch)
+    build_mss(g, d)
+    assert calls[0] == 0
+
+
+def _memo_growth(g, run):
+    """The bytes held after run(), and at its peak, beyond those held before."""
+    g.is_connected()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["rank test on the 40 x 40 grid",
+                                  "dgon_bruteforce on the 5 x 5 grid"])
+def test_rank_memo_stays_within_its_cap(case):
+    """The memo holds at most ``_RANK_MEMO_CHIPS`` chip counts: 8 bytes of
+    tuple slot each, and about as much again in key headers and the dict."""
+    if case.startswith("rank"):
+        g, d = grid_with_a_chip_per_row(40)
+        held, peak = _memo_growth(g, lambda: has_positive_rank(g, d))
+    else:
+        g, _ = grid_with_a_chip_per_row(5)
+        held, peak = _memo_growth(g, lambda: dgon_bruteforce(g, 5))
+    assert g._ranks and len(g._ranks) * g.n <= gonality._RANK_MEMO_CHIPS
+    assert held <= peak <= 16 * gonality._RANK_MEMO_CHIPS
 
 
 class TestEnumeration:

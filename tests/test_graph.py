@@ -1,10 +1,13 @@
+import copy
+import pickle
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiptree import GraphError, MultiGraph
+from chiptree import GraphError, MultiGraph, effective_divisors, has_positive_rank
 from chiptree.graph import _components
 
 from conftest import laplacian, multigraphs, random_connected_multigraph
@@ -31,6 +34,27 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(GraphError):
             MultiGraph(2, [(0, 1)], labels=["a", "a"])
+
+    @pytest.mark.parametrize("labels", [["a b", "c"], ["", "c"], ["a", "b\n"],
+                                        ["a", "\u2028"], ["a", 1]])
+    def test_labels_a_document_cannot_hold_rejected(self, labels):
+        with pytest.raises(GraphError, match="without whitespace"):
+            MultiGraph(2, [(0, 1)], labels=labels)
+
+
+def test_pickle_and_copies_carry_no_memo():
+    """A graph pickles as its vertex count, edges and labels: after 1,000
+    rank tests its pickle is as long as a fresh graph's."""
+    g = MultiGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (0, 3)],
+                   labels=list("uvwxyz"))
+    divisors = (d for k in range(1, 8) for d in effective_divisors(g.n, k))
+    for d in islice(divisors, 1000):
+        has_positive_rank(g, d)
+    assert g._ranks
+    fresh = MultiGraph(g.n, g.edge_list, g.labels)
+    assert len(pickle.dumps(g)) == len(pickle.dumps(fresh))
+    for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert back == g and back.labels == g.labels and back._ranks == {}
 
 
 class TestLaplacian:

@@ -97,7 +97,9 @@ BASE = {"chiptree", "chiptree.cli", "chiptree.errors", "chiptree.formats",
 RANK = BASE | {"chiptree.gonality"}
 MSS = RANK | {"chiptree.strategy"}
 TREEDEC = MSS | {"chiptree.treedec"}
-MORPHISM = TREEDEC | {"chiptree.morphism"}
+# checking a decomposition or building one from a morphism needs no strategy
+VERIFY = BASE | {"chiptree.treedec"}
+MORPHISM = VERIFY | {"chiptree.morphism"}
 
 PROBE = """\
 import sys
@@ -135,7 +137,7 @@ CALLS = {
     "gonality": (["gonality", "--input", "golden.ct", "--max-degree", "4"], RANK),
     "mss": (["mss", "--input", "golden.ct"], MSS),
     "treedec": (["treedec", "--input", "golden.ct"], TREEDEC),
-    "verify-td": (["verify-td", "--input", "golden.ct", "--td", "golden.td"], TREEDEC),
+    "verify-td": (["verify-td", "--input", "golden.ct", "--td", "golden.td"], VERIFY),
     "morphism-td": (["morphism-td", "--input", "c4.gr", "--tree", "p3.gr",
                      "--morphism", "fold.map"], MORPHISM),
     "malformed": (["info", "--input", "bad.gr"], BASE),

@@ -23,7 +23,7 @@ from chiptree import (
     treewidth_bruteforce,
     validate_treedec,
 )
-from chiptree import treedec
+from chiptree import strategy, treedec
 from chiptree.fixtures import banana_graph, cycle_graph, path_graph
 from chiptree.gonality import effective_divisors
 from chiptree.strategy import MssTree
@@ -217,13 +217,14 @@ class TestTrustedStrategy:
     @pytest.fixture
     def validations(self, monkeypatch):
         calls = [0]
-        validate = treedec.validate_mss
+        validate = strategy.validate_mss
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return validate(*args, **kwargs)
 
-        monkeypatch.setattr(treedec, "validate_mss", counting)
+        # ``mss_to_treedec`` imports it from its home module when it validates
+        monkeypatch.setattr(strategy, "validate_mss", counting)
         return calls
 
     def test_built_tree_with_its_own_graph_is_not_revalidated(
