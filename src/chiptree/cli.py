@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .divisors import Divisor
     from .graph import MultiGraph
     from .strategy import MssTree
+    from .treedec import TreeDecomposition
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,6 +39,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_td(args, td: TreeDecomposition, g: MultiGraph) -> None:
+    _emit(td.to_dot(g) if args.format == "dot" else formats.write_td(td, g.n), args.out)
 
 
 def _load_graph(args) -> tuple[MultiGraph, Divisor | None]:
@@ -135,11 +140,7 @@ def cmd_mss(args) -> int:
 def cmd_treedec(args) -> int:
     from .treedec import mss_to_treedec
     g, tree = _build_mss(args)
-    td = mss_to_treedec(g, tree)
-    if args.format == "dot":
-        _emit(td.to_dot(g), args.out)
-    else:
-        _emit(formats.write_td(td, g.n), args.out)
+    _emit_td(args, mss_to_treedec(g, tree), g)
     return EXIT_OK
 
 
@@ -158,11 +159,7 @@ def cmd_morphism_td(args) -> int:
     else:
         g_original = g_refined
         rmap = RefinementMap.identity(g_refined.n)
-    td = stable_treedec(g_original, g_refined, rmap, t, f)
-    if args.format == "dot":
-        _emit(td.to_dot(g_original), args.out)
-    else:
-        _emit(formats.write_td(td, g_original.n), args.out)
+    _emit_td(args, stable_treedec(g_original, g_refined, rmap, t, f), g_original)
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
-from .graph import FrozenRecord, MultiGraph, VertexSet
+from .graph import FrozenRecord, MultiGraph, VertexSet, _require_connected
 
 
 class Divisor(FrozenRecord):
@@ -94,11 +94,6 @@ def _require_divisor(g: MultiGraph, d: Divisor) -> None:
         raise DomainError(f"divisor length {len(chips)} does not match n={g.n}")
     if min(chips, default=0) < 0:
         raise DomainError(f"divisor must be effective, got chips {chips}")
-
-
-def _require_connected(g: MultiGraph) -> None:
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
 
 
 def _require_vertices(g: MultiGraph, vs: Iterable[int], what: str = "vertex") -> None:

@@ -36,12 +36,31 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
-def _ints(tokens: list[str], line: str, what: str) -> list[int]:
-    """The tokens as ints; a token that is not one is a bad ``what``."""
+def _ints(tokens: list[str], line: str, what: str, count: Optional[int] = None) -> list[int]:
+    """The tokens as ints; a token that is not one, or a token count other
+    than ``count`` (if given), is a bad ``what``."""
     try:
-        return [int(token) for token in tokens]
+        if count is None or len(tokens) == count:
+            return [int(token) for token in tokens]
     except ValueError:
-        raise FormatError(f"bad {what}: {line!r}") from None
+        pass
+    raise FormatError(f"bad {what}: {line!r}")
+
+
+def _header(lines: list[str], kind: str, what: str, count: int, n_at: int) -> list[int]:
+    """The ``count`` ints after ``kind`` on the first line, the header of a
+    ``what`` file; the one at ``n_at`` is its vertex count, capped at
+    ``MAX_GR_VERTICES``."""
+    if not lines:
+        raise FormatError(f"empty {what} input")
+    header = lines[0].split()
+    if header[:2] != kind.split():
+        raise FormatError(f"bad {what} header: {lines[0]!r}")
+    values = _ints(header[2:], lines[0], f"{what} header", count)
+    if values[n_at] > MAX_GR_VERTICES:
+        raise FormatError(f"{what} header declares {values[n_at]} vertices, "
+                          f"above the cap {MAX_GR_VERTICES}")
+    return values
 
 
 # -- PACE .gr graphs -------------------------------------------------------
@@ -52,22 +71,10 @@ def parse_gr(text: str) -> MultiGraph:
 
 
 def _parse_gr(lines: list[str]) -> MultiGraph:
-    if not lines:
-        raise FormatError("empty .gr input")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "p" or header[1] != "tw":
-        raise FormatError(f"bad .gr header: {lines[0]!r}")
-    n, m = _ints(header[2:], lines[0], ".gr header")
-    if n > MAX_GR_VERTICES:
-        raise FormatError(
-            f".gr header declares {n} vertices, above the cap {MAX_GR_VERTICES}"
-        )
+    n, m = _header(lines, "p tw", ".gr", 2, 0)
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {line!r}")
-        u, v = _ints(parts, line, "edge line")
+        u, v = _ints(line.split(), line, "edge line", 2)
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError(f"edge ({u},{v}) outside 1..{n}")
         edges.append((u - 1, v - 1))
@@ -93,26 +100,14 @@ def parse_td(text: str) -> TreeDecomposition:
     """
     from .treedec import TreeDecomposition
     lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty .td input")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "s" or header[1] != "td":
-        raise FormatError(f"bad .td header: {lines[0]!r}")
-    num_bags, max_bag, n = _ints(header[2:], lines[0], ".td header")
-    if n > MAX_GR_VERTICES:
-        raise FormatError(
-            f".td header declares {n} vertices, above the cap {MAX_GR_VERTICES}"
-        )
+    num_bags, max_bag, n = _header(lines, "s td", ".td", 3, 2)
     masks: dict[int, int] = {}
     edges = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "b":
-            try:
-                bag_id = int(parts[1])
-                members = [int(p) for p in parts[2:]]
-            except (ValueError, IndexError):
-                raise FormatError(f"bad bag line: {line!r}") from None
+            (bag_id,) = _ints(parts[1:2], line, "bag line", 1)
+            members = _ints(parts[2:], line, "bag line")
             if not 1 <= bag_id <= num_bags:
                 raise FormatError(f"bag id {bag_id} outside 1..{num_bags}")
             if bag_id in masks:
@@ -124,9 +119,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 mask |= 1 << (v - 1)
             masks[bag_id] = mask
         else:
-            if len(parts) != 2:
-                raise FormatError(f"bad tree edge line: {line!r}")
-            i, j = _ints(parts, line, "tree edge line")
+            i, j = _ints(parts, line, "tree edge line", 2)
             edges.append((i - 1, j - 1))
     # ids are unique keys in 1..num_bags, so a full count means all of them
     if len(masks) != num_bags:
@@ -194,27 +187,24 @@ def _parse_document(lines: list[str]) -> tuple[MultiGraph, Optional[Divisor]]:
     version = lines[0].split(None, 1)[1]
     if version != DOCUMENT_FORMAT:
         raise FormatError(f"unsupported document format {version!r}")
-    labels: Optional[list[str]] = None
-    edge_tokens: list[tuple[str, str]] = []
-    divisor_line: Optional[str] = None
-    dense_line: Optional[str] = None
+    edge_tokens: list[list[str]] = []
+    found: dict[str, str] = {}  # per key but edge, the rest of its one line
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
-        if key == "vertices":
-            labels = rest.split()
-        elif key == "edge":
+        if key == "edge":
             parts = rest.split()
             if len(parts) != 2:
                 raise FormatError(f"bad edge line: {line!r}")
-            edge_tokens.append((parts[0], parts[1]))
-        elif key == "divisor":
-            divisor_line = rest
-        elif key == "divisor-dense":
-            dense_line = rest
-        else:
+            edge_tokens.append(parts)
+        elif key not in ("vertices", "divisor", "divisor-dense"):
             raise FormatError(f"unknown document line: {line!r}")
-    if labels is None:
+        elif key in found:
+            raise FormatError(f"document has a second {key!r} line")
+        else:
+            found[key] = rest
+    if "vertices" not in found:
         raise FormatError("document is missing a 'vertices' line")
+    labels = found["vertices"].split()
     index = {name: i for i, name in enumerate(labels)}
     try:
         edges = [(index[a], index[b]) for a, b in edge_tokens]
@@ -222,13 +212,14 @@ def _parse_document(lines: list[str]) -> tuple[MultiGraph, Optional[Divisor]]:
         raise FormatError(f"edge uses unknown vertex {exc.args[0]!r}") from None
     g = MultiGraph(len(labels), edges, labels=labels)
     divisor = None
-    if dense_line is not None:
+    if "divisor-dense" in found:
+        dense_line = found["divisor-dense"]
         chips = _ints(dense_line.split(), dense_line, "divisor-dense line")
         if len(chips) != g.n:
             raise FormatError("divisor-dense length does not match vertex count")
         divisor = Divisor(chips)
-    if divisor_line is not None:
-        divisor = parse_divisor(divisor_line, g)
+    if "divisor" in found:
+        divisor = parse_divisor(found["divisor"], g)
     return g, divisor
 
 
@@ -261,9 +252,14 @@ def parse_morphism(text: str, g: MultiGraph, t: MultiGraph) -> FiniteMorphism:
     for line in _content_lines(text):
         parts = line.split()
         if parts[0] == "v" and len(parts) == 3:
-            vmap[g.vertex_index(parts[1])] = t.vertex_index(parts[2])
+            v, image = g.vertex_index(parts[1]), t.vertex_index(parts[2])
+            if v in vmap:
+                raise FormatError(f"graph vertex {parts[1]} has a second morphism line")
+            vmap[v] = image
         elif parts[0] == "e" and len(parts) == 4:
             eid, tid, idx = _ints(parts[1:], line, "morphism edge line")
+            if eid in emap:
+                raise FormatError(f"graph edge {eid} has a second morphism line")
             emap[eid] = (tid, idx)
         else:
             raise FormatError(f"bad morphism line: {line!r}")
@@ -294,21 +290,14 @@ def parse_refinement_map(text: str) -> RefinementMap:
     original: dict[int, int] = {}
     subdivision: dict[int, tuple[int, int, int, int]] = {}
     leaves: dict[int, int] = {}
+    tables = {"orig": (original, 2), "sub": (subdivision, 5), "leaf": (leaves, 2)}
     for line in _content_lines(text):
-        parts = line.split()
-        try:
-            if parts[0] == "orig" and len(parts) == 3:
-                original[int(parts[1])] = int(parts[2])
-            elif parts[0] == "sub" and len(parts) == 6:
-                subdivision[int(parts[1])] = (
-                    int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5])
-                )
-            elif parts[0] == "leaf" and len(parts) == 3:
-                leaves[int(parts[1])] = int(parts[2])
-            else:
-                raise FormatError(f"bad refinement line: {line!r}")
-        except ValueError:
-            raise FormatError(f"bad refinement line: {line!r}") from None
+        key, *tokens = line.split()
+        table, count = tables.get(key, (None, -1))  # no count fits an unknown key
+        v, *image = _ints(tokens, line, "refinement line", count)
+        if v in original or v in subdivision or v in leaves:
+            raise FormatError(f"refined vertex {v} has a second line")
+        table[v] = tuple(image) if key == "sub" else image[0]
     return RefinementMap(original, subdivision, leaves)
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
-from .divisors import Divisor, _burn, _require_connected, _require_divisor
+from .divisors import Divisor, _burn, _require_divisor
 from .errors import BudgetError, DomainError, InternalError
-from .graph import FrozenRecord, MultiGraph
+from .graph import FrozenRecord, MultiGraph, _require_connected
 
 DEFAULT_BUDGET = 5_000_000
 

@@ -9,10 +9,9 @@ structure, so degree and cut computations stay exact integer arithmetic.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, count
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import GraphError
+from .errors import DomainError, GraphError
 
 VertexSet = frozenset
 
@@ -227,6 +226,11 @@ class MultiGraph:
         if self._connected is None:
             self._connected = len(self.flaps(())) == 1
         return self._connected
+
+
+def _require_connected(g: MultiGraph) -> None:
+    if not g.is_connected():
+        raise DomainError("graph must be connected")
 
 
 # -- bitmask kernels -------------------------------------------------------

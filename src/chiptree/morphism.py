@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DomainError, InternalError
-from .graph import FrozenRecord, MultiGraph, Record, _mask
+from .graph import FrozenRecord, MultiGraph, Record, _mask, _require_connected
 from .treedec import RefinementMap, TreeDecomposition, _contract
 
 
@@ -138,8 +138,7 @@ def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,
         if g.n != 1:
             raise DomainError("edgeless graph must be a single vertex (connected)")
         return TreeDecomposition._of_masks([1], [])
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
+    _require_connected(g)
     if cert is None:
         raise DomainError(f"morphism is not harmonic: {report.violations[0]}")
     k = cert.degree

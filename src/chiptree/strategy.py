@@ -302,7 +302,10 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
 
 
 def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
-    """Check the defining clauses of a monotone search strategy.
+    """Check the defining clauses of a monotone search strategy, and that
+    each node's move names what its shape is: the root ``root``, a child
+    with siblings ``split``, any other child ``shrink`` (case (a)) or
+    ``grow`` (case (b)).
 
     Trailing shrink moves with empty territory are accepted: the
     construction emits them after capture (see the worked golden trace).
@@ -314,12 +317,12 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     n = g.n
     nbr = g.neighbour_masks
-    xs, kids_of = tree.xs, tree.children
+    xs, moves, kids_of = tree.xs, tree.moves, tree.children
     size = len(xs)
     if not size:
         return MssReport(False, [MssViolation(None, "empty tree")])
     lengths = [len(column) for column in
-               (xs, tree.territories, tree.moves, tree.parents, kids_of)]
+               (xs, tree.territories, moves, tree.parents, kids_of)]
     if len(set(lengths)) > 1:
         return MssReport(False, [MssViolation(None, f"columns have lengths {lengths}")])
 
@@ -344,6 +347,8 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     if xs[0] != 0 or tree.territories[0] != (1 << n) - 1:
         bad(0, "root is not (empty, V)")
+    if moves[0] != ROOT:
+        bad(0, f"move is {moves[0]!r}, not {ROOT!r}")
     if size > n * n + 1:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
@@ -367,7 +372,6 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         if _around(nbr, free) & ~(free | x):
             bad(i, "territory is not a union of X-flaps")
             continue
-        flaps = _components(nbr, free)
 
         if not kids:
             if r:
@@ -378,18 +382,24 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             c = kids[0]
             cx, cr = xs[c], rs[c]
             if cx != x and not cx & ~x and cr == r:
-                pass  # case (a): shrink
+                move = SHRINK  # case (a)
             elif cx != x and not x & ~cx and not cx & ~(x | r) and cr == r & ~cx:
-                pass  # case (b): grow
+                move = GROW  # case (b)
             else:
                 bad(i, "single child matches neither shrink nor grow")
+                continue
         else:
-            child_rs = [rs[c] for c in kids]
+            move = SPLIT
             if any(xs[c] != x for c in kids):
                 bad(i, "split children must keep the same searchers")
-            elif set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
-                bad(i, "split children are not exactly the X-flaps of R")
-            elif len(kids) < 2:
-                bad(i, "split with fewer than two children")
+            else:
+                child_rs = [rs[c] for c in kids]
+                flaps = _components(nbr, free)
+                if set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
+                    bad(i, "split children are not exactly the X-flaps of R")
+        # each child's move names the case its shape matches
+        for c in kids:
+            if moves[c] != move:
+                bad(c, f"move is {moves[c]!r}, not {move!r}")
 
     return MssReport(not violations, violations)

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import BudgetError, DomainError
 from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _mask, _members,
-                    _vertices)
+                    _require_connected, _vertices)
 
 if TYPE_CHECKING:
     from .strategy import MssTree
@@ -89,45 +89,25 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
                for i, j in edges if not (0 <= i < b and 0 <= j < b)]
     if outside:
         return TdReport(False, td.width, outside)
+    adj = td.neighbors()
     if len(edges) != b - 1:
         shape = f"{len(edges)} tree edges on {b} bags is not a tree"
     else:
-        order, parent = _top_down(td)
+        # the bags bag 0 reaches, each after its parent, and each bag's
+        # parent (-1 for bag 0 and the bags not reached)
+        order, parent = [0], [-1] * b
+        for i in order:
+            for j in adj[i]:
+                if j and parent[j] < 0:
+                    parent[j] = i
+                    order.append(j)
         shape = None if len(order) == b else "bag tree is disconnected"
     if shape is None and _holds(g, masks, order, parent):
         return TdReport(True, td.width)
-    return TdReport(False, td.width, _violations(g, td, shape))
+    return TdReport(False, td.width, _violations(g, masks, adj, shape))
 
 
-def _top_down(td: TreeDecomposition) -> tuple[Iterable[int], list[int]]:
-    """For td with b - 1 tree edges: the bags bag 0 reaches, each after its
-    parent, and each bag's parent (-1 for bag 0 and the bags not reached).
-
-    When every bag but bag 0 has one tree edge to a smaller bag, the edges
-    form a tree that index order walks top-down, and no search runs.
-    """
-    b = len(td.masks)
-    parent = [-1] * b
-    for i, j in td.tree_edges:
-        lo, hi = (i, j) if i < j else (j, i)
-        if lo == hi or parent[hi] >= 0:
-            break
-        parent[hi] = lo
-    else:
-        return range(b), parent
-    adj = td.neighbors()
-    parent = [-1] * b
-    order = [0]
-    for i in order:
-        for j in adj[i]:
-            if j and parent[j] < 0:
-                parent[j] = i
-                order.append(j)
-    return order, parent
-
-
-def _holds(g: MultiGraph, masks: list[int], order: Iterable[int],
-           parent: list[int]) -> bool:
+def _holds(g: MultiGraph, masks: list[int], order: list[int], parent: list[int]) -> bool:
     """Conditions 1-3 on a bag tree walked top-down by ``order``.
 
     A vertex's bags induce a forest whose components are topped by the
@@ -159,15 +139,17 @@ def _holds(g: MultiGraph, masks: list[int], order: Iterable[int],
     return True
 
 
-def _violations(g: MultiGraph, td: TreeDecomposition, shape: Optional[str]) -> list[str]:
-    """Every violation of td, named in order: tree shape, conditions 1 and
-    2, then condition 3 by a search per vertex among the bags holding it."""
+def _violations(g: MultiGraph, masks: list[int], adj: list[list[int]],
+                shape: Optional[str]) -> list[str]:
+    """Every violation of the bags ``masks`` with tree adjacency ``adj``,
+    named in order: tree shape, conditions 1 and 2, then condition 3 by a
+    search per vertex among the bags holding it."""
     n = g.n
     violations = [] if shape is None else [shape]
     holding: list[set[int]] = [set() for _ in range(n)]
     known = (1 << n) - 1
     union = 0
-    for i, bag in enumerate(td.masks):
+    for i, bag in enumerate(masks):
         union |= bag
         for v in _members(bag & known):
             holding[v].add(i)
@@ -187,7 +169,6 @@ def _violations(g: MultiGraph, td: TreeDecomposition, shape: Optional[str]) -> l
     for u, w in g._mult:
         if holding[u].isdisjoint(holding[w]):
             violations.append(f"condition 2: edge ({u},{w}) in no bag")
-    adj = td.neighbors()
     for v, node_set in enumerate(holding):
         if not node_set:
             continue
@@ -222,13 +203,8 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
     stack = [tree.root]
     while stack:
         i = stack.pop()
-        while True:  # down a chain of only children, past the stack
-            order.append(i)
-            kids = kids_of[i]
-            if len(kids) != 1:
-                break
-            i = kids[0]
-        stack.extend(reversed(kids))
+        order.append(i)
+        stack += kids_of[i][::-1]
     new_id = {old: new for new, old in enumerate(order)}
     masks = [xs[i] for i in order]
     edges = [(new_id[i], new_id[c]) for i in order for c in kids_of[i]]
@@ -365,8 +341,7 @@ def treedec_by_elimination(g: MultiGraph,
     Defaults to the min-degree heuristic; used to produce nontrivial
     decompositions of refined graphs in tests and demos.
     """
-    if not g.is_connected():
-        raise DomainError("graph must be connected")
+    _require_connected(g)
     n = g.n
     if order is not None:
         order = list(order)

@@ -79,6 +79,13 @@ class TestInfo:
         assert err.startswith("error: malformed-input:")
         assert len(err.splitlines()) == 1
 
+    def test_second_divisor_line_is_bad_input(self, capsys, doc_path):
+        with open(doc_path, "a") as fh:
+            fh.write("divisor b:1\n")
+        code, out, err = run(capsys, "info", "--input", doc_path)
+        assert (code, out) == (2, "")
+        assert err == "error: malformed-input: document has a second 'divisor' line\n"
+
     def test_format_is_not_an_option(self, capsys, doc_path):
         # only mss, treedec and morphism-td write a format
         with pytest.raises(SystemExit) as exc:
@@ -182,6 +189,17 @@ class TestMssAndTreedec:
                            "--td", td_path)
         assert code == 0 and "valid: width 3" in out
 
+    def test_treedec_dot(self, capsys, doc_path):
+        code, out, err = run(capsys, "treedec", "--input", doc_path, "--format", "dot")
+        assert code == 0 and err == ""
+        assert out.startswith('graph treedec {\n  node [shape=box];\n  b0 [label="{}"];\n'
+                              '  b1 [label="a"];\n  b2 [label="abc"];\n')
+        assert out.endswith('  b13 [label="ef"];\n  b0 -- b1;\n  b1 -- b2;\n  b2 -- b3;\n'
+                            "  b3 -- b4;\n  b3 -- b8;\n  b4 -- b5;\n  b5 -- b6;\n"
+                            "  b6 -- b7;\n  b8 -- b9;\n  b9 -- b10;\n  b10 -- b11;\n"
+                            "  b11 -- b12;\n  b12 -- b13;\n}\n")
+        assert out.count("[label=") == 14
+
     def test_treedec_is_deterministic(self, capsys, doc_path):
         _, first, _ = run(capsys, "treedec", "--input", doc_path)
         _, second, _ = run(capsys, "treedec", "--input", doc_path)
@@ -244,6 +262,19 @@ class TestMorphismTd:
         report = validate_treedec(c4_to_p3_morphism()[0], parse_td(out))
         assert report.ok and report.width == 2
 
+    def test_fold_dot(self, capsys, fold_args):
+        # the .gr input has no labels, so each bag is named by its digits
+        code, out, err = run(capsys, *fold_args, "--format", "dot")
+        assert code == 0 and err == ""
+        assert out == (
+            "graph treedec {\n  node [shape=box];\n"
+            '  b0 [label="0"];\n  b1 [label="13"];\n  b2 [label="2"];\n'
+            '  b3 [label="01"];\n  b4 [label="013"];\n  b5 [label="123"];\n'
+            '  b6 [label="23"];\n'
+            "  b0 -- b3;\n  b3 -- b4;\n  b4 -- b1;\n  b1 -- b5;\n  b5 -- b6;\n"
+            "  b6 -- b2;\n}\n"
+        )
+
     def test_non_harmonic_fails(self, capsys, tmp_path, fold_args):
         mp = tmp_path / "fold.map"
         mp.write_text(mp.read_text().replace("e 0 0 1", "e 0 0 2"))
@@ -277,6 +308,19 @@ class TestMorphismTd:
         assert code == 1 and out == ""
         assert err.startswith("error: DomainError: ") and err.count("\n") == 1
         assert reason in err
+
+    @pytest.mark.parametrize("name, extra, reason", [
+        ("fold.map", "v 0 2\n", "graph vertex 0 has a second morphism line"),
+        ("r.map", "orig 0 1\n", "refined vertex 0 has a second line"),
+    ], ids=["morphism", "refinement"])
+    def test_repeated_key_is_bad_input(self, capsys, tmp_path, fold_args, name, extra,
+                                       reason):
+        (tmp_path / "r.map").write_text("orig 0 0\norig 2 1\nsub 1 0 1 0 0\nsub 3 0 1 1 0\n")
+        path = tmp_path / name
+        path.write_text(path.read_text() + extra)
+        code, out, err = run(capsys, *fold_args, "--original", str(tmp_path / "banana.gr"),
+                             "--refinement", str(tmp_path / "r.map"))
+        assert (code, out, err) == (2, "", f"error: malformed-input: {reason}\n")
 
     def test_refinement_without_original_fails(self, capsys, tmp_path, fold_args):
         # the map file need not exist: the option pair is refused first

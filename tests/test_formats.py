@@ -295,3 +295,89 @@ class TestRefinementMapText:
         for text in ("orig 1\n", "sub 4 0 1 0\n", "leaf a 0\n", "huh\n"):
             with pytest.raises(FormatError):
                 parse_refinement_map(text)
+
+
+MESSAGES = [
+    (parse_gr, "", "empty .gr input"),
+    (parse_gr, "p tw x y\n", "bad .gr header: 'p tw x y'"),
+    (parse_gr, "p tw 2\n", "bad .gr header: 'p tw 2'"),
+    (parse_gr, "p cep 2 1\n", "bad .gr header: 'p cep 2 1'"),
+    (parse_gr, f"p tw {MAX_GR_VERTICES + 1} 0\n",
+     f".gr header declares {MAX_GR_VERTICES + 1} vertices, above the cap 1000000"),
+    (parse_gr, "p tw 2 1\n1 2 3\n", "bad edge line: '1 2 3'"),
+    (parse_gr, "p tw 2 1\n1 x\n", "bad edge line: '1 x'"),
+    (parse_gr, "p tw 2 1\n1\n", "bad edge line: '1'"),
+    (parse_td, "", "empty .td input"),
+    (parse_td, "s td 2 2\n", "bad .td header: 's td 2 2'"),
+    (parse_td, "s td 1 1 x\n", "bad .td header: 's td 1 1 x'"),
+    (parse_td, f"s td 1 1 {MAX_GR_VERTICES + 1}\n",
+     f".td header declares {MAX_GR_VERTICES + 1} vertices, above the cap 1000000"),
+    (parse_td, "s td 1 1 2\nb\n", "bad bag line: 'b'"),
+    (parse_td, "s td 1 1 2\nb x 1\n", "bad bag line: 'b x 1'"),
+    (parse_td, "s td 1 1 2\nb 1 y\n", "bad bag line: 'b 1 y'"),
+    (parse_td, "s td 2 1 2\nb 1 1\nb 2 2\n1 2 3\n", "bad tree edge line: '1 2 3'"),
+    (parse_td, "s td 2 1 2\nb 1 1\nb 2 2\n1 x\n", "bad tree edge line: '1 x'"),
+    (parse_td, "s td 2 1 2\nb 1 1\nb 2 2\n1\n", "bad tree edge line: '1'"),
+    (parse_document, "format chiptree/1\nvertices a b\nedge a\n", "bad edge line: 'edge a'"),
+    (parse_document, "format chiptree/1\nvertices a b\nedge a b c\n",
+     "bad edge line: 'edge a b c'"),
+    (parse_document, "format chiptree/1\nvertices a b\ndivisor-dense 1 x\n",
+     "bad divisor-dense line: '1 x'"),
+    (parse_refinement_map, "orig 1\n", "bad refinement line: 'orig 1'"),
+    (parse_refinement_map, "orig 1 x\n", "bad refinement line: 'orig 1 x'"),
+    (parse_refinement_map, "sub 4 0 1 0\n", "bad refinement line: 'sub 4 0 1 0'"),
+    (parse_refinement_map, "huh\n", "bad refinement line: 'huh'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", MESSAGES)
+def test_malformed_input_message(parse, text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e 0 x 1", "bad morphism edge line: 'e 0 x 1'"),
+    ("e 0 1", "bad morphism line: 'e 0 1'"),
+    ("q 1 2", "bad morphism line: 'q 1 2'"),
+])
+def test_malformed_morphism_message(line, message):
+    g, t, _ = c4_to_p3_morphism()
+    with pytest.raises(FormatError) as info:
+        parse_morphism(line + "\n", g, t)
+    assert str(info.value) == message
+
+
+class TestRepeatedKeys:
+    """A key that a file sets twice is refused, as a second bag line is:
+    the later line used to replace the earlier one without a word."""
+
+    def test_morphism_vertex_twice(self):
+        g, t, f = c4_to_p3_morphism()
+        text = write_morphism(f, g, t)
+        assert parse_morphism(text, g, t).vertex_map == (0, 1, 2, 1)
+        with pytest.raises(FormatError, match="^graph vertex a has a second morphism line$"):
+            parse_morphism(text + "v a 2\n", g, t)
+
+    def test_morphism_edge_twice(self):
+        g, t, f = c4_to_p3_morphism()
+        with pytest.raises(FormatError, match="^graph edge 3 has a second morphism line$"):
+            parse_morphism(write_morphism(f, g, t) + "e 3 1 1\n", g, t)
+
+    @pytest.mark.parametrize("text", [
+        "orig 0 0\norig 0 1\n", "orig 0 0\nleaf 0 1\n", "sub 2 0 1 0 0\nsub 2 0 1 1 0\n"])
+    def test_refined_vertex_on_two_lines(self, text):
+        v = text.split()[1]
+        with pytest.raises(FormatError, match=f"^refined vertex {v} has a second line$"):
+            parse_refinement_map(text)
+
+    @pytest.mark.parametrize("line", ["vertices a b", "divisor a:1", "divisor-dense 1 0"])
+    def test_document_key_twice(self, line):
+        key = line.split()[0]
+        text = "format chiptree/1\nvertices a b\nedge a b\n"
+        if key != "vertices":
+            text += line + "\n"
+        parse_document(text)
+        with pytest.raises(FormatError, match=f"^document has a second '{key}' line$"):
+            parse_document(text + line + "\n")

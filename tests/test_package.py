@@ -56,6 +56,25 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
 
 
+@pytest.mark.parametrize("path", sorted((SRC / "chiptree").glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_unused_import_and_no_assert(path):
+    """Lint by AST, as no linter is a dependency: every imported name is
+    read somewhere in its module, and no ``assert`` statement checks
+    anything, since ``python -O`` strips them."""
+    tree = ast.parse(path.read_text())
+    imported, asserts = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or \
+                isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assert):
+            asserts.append(node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in read} == {}
+    assert asserts == []
+
+
 class TestRecords:
     def test_frozen_record_equality_hash_and_repr(self):
         d = Divisor((3, 0, 1))

@@ -311,6 +311,58 @@ class TestValidateMss:
         assert not report.ok
         assert "root" in report.first().reason
 
+    @pytest.mark.parametrize("node, columns, violations", [
+        (13, {"territories": 0b10000},
+         [(12, "single child matches neither shrink nor grow"),
+          (13, "searchers and territory overlap"),
+          (13, "incomplete leaf (territory nonempty)")]),
+        (7, {"territories": 0b10000},
+         [(5, "single child matches neither shrink nor grow"),
+          (7, "territory is not a union of X-flaps")]),
+        (5, {"xs": 0b1110},
+         [(3, "split children must keep the same searchers"),
+          (5, "single child matches neither shrink nor grow")]),
+        (4, {"territories": 0},
+         [(3, "split children are not exactly the X-flaps of R"),
+          (4, "single child matches neither shrink nor grow")]),
+    ], ids=["overlap", "not-a-union-of-flaps", "split-moves-searchers",
+            "split-not-the-flaps"])
+    def test_violations_in_order(self, fixture_graph, fixture_divisor, node,
+                                 columns, violations):
+        tree = edit_node(build_mss(fixture_graph, fixture_divisor), node, **columns)
+        assert validate_mss(fixture_graph, tree, 4).violations == \
+            [MssViolation(*v) for v in violations]
+
+    def test_rejects_a_tree_above_the_node_bound(self):
+        # a valid strategy on one vertex but for its third node
+        g = MultiGraph(1, [])
+        tree = MssTree(2, [0, 1, 0], [1, 0, 0], [ROOT, GROW, SHRINK], [None, 0, 1],
+                       [[1], [2], []])
+        assert validate_mss(g, tree, 2).violations == [
+            MssViolation(None, "tree has 3 nodes, above the n^2+1 bound")]
+
+    @pytest.mark.parametrize("node, move, expected", [
+        (0, GROW, ROOT), (1, SHRINK, GROW), (3, GROW, SHRINK), (5, GROW, SPLIT),
+        (13, LEAF, SHRINK)])
+    def test_rejects_a_move_its_shape_does_not_name(self, fixture_graph, fixture_divisor,
+                                                   node, move, expected):
+        tree = edit_node(build_mss(fixture_graph, fixture_divisor), node, moves=move)
+        assert validate_mss(fixture_graph, tree, 4).violations == [
+            MssViolation(node, f"move is {move!r}, not {expected!r}")]
+        with pytest.raises(DomainError, match="invalid search strategy: move is"):
+            mss_to_treedec(fixture_graph, tree)
+
+    def test_rejects_leaf_on_every_node(self, fixture_graph, fixture_divisor):
+        # used to validate, print "leaf" on every node and give a decomposition
+        tree = build_mss(fixture_graph, fixture_divisor)
+        tree = MssTree(tree.searchers, tree.xs, tree.territories, [LEAF] * 14,
+                       tree.parents, tree.children)
+        report = validate_mss(fixture_graph, tree, 4)
+        assert len(report.violations) == 14
+        assert report.first() == MssViolation(0, "move is 'leaf', not 'root'")
+        with pytest.raises(DomainError):
+            mss_to_treedec(fixture_graph, tree)
+
     def test_rejects_searcher_overflow(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
         report = validate_mss(fixture_graph, tree, 3)

@@ -300,6 +300,24 @@ class TestMssToTreedec:
         assert td.width == 1
         assert treewidth_bruteforce(g) == 1
 
+    def test_golden_bytes_and_dot(self, fixture_graph, fixture_divisor):
+        # bag ids follow the preorder of the strategy tree, children in order
+        g = fixture_graph
+        td = mss_to_treedec(g, build_mss(g, fixture_divisor))
+        labels = ["{}", "a", "abc", "bc", "bc", "b", "bd", "d", "bc", "bcg", "bg",
+                  "befg", "efg", "ef"]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (3, 8), (4, 5), (5, 6), (6, 7),
+                 (8, 9), (9, 10), (10, 11), (11, 12), (12, 13)]
+        assert [g.set_name(bag) for bag in td.bags] == labels
+        assert td.tree_edges == edges
+        assert td.to_dot(g) == "".join(
+            ["graph treedec {\n  node [shape=box];\n"]
+            + [f'  b{i} [label="{label}"];\n' for i, label in enumerate(labels)]
+            + [f"  b{i} -- b{j};\n" for i, j in edges] + ["}\n"])
+        unlabelled = td.to_dot()
+        assert '  b0 [label=""];\n' in unlabelled
+        assert '  b11 [label="1,4,5,6"];\n' in unlabelled
+
     def test_rejects_broken_strategy(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
         i = next(i for i, kids in enumerate(tree.children) if len(kids) > 1)
