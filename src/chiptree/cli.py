@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--divisor", help="sparse divisor text, e.g. 'a:3'")
         p.add_argument("--out", help="output path (default: stdout)")
 
-    def output_format(p):
-        p.add_argument("--format", choices=["pace", "text", "dot"], default="pace")
+    def output_format(p, *formats):
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("info", help="basic graph facts")
     common(p)
@@ -216,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mss", help="build a monotone search strategy")
     common(p)
-    output_format(p)
+    output_format(p, "text", "dot")
     p.add_argument("--trace", action="store_true",
                    help="log construction steps and fired sets to stderr")
     p.set_defaults(func=cmd_mss)
 
     p = sub.add_parser("treedec", help="tree decomposition from a divisor")
     common(p)
-    output_format(p)
+    output_format(p, "pace", "dot")
     p.add_argument("--trace", action="store_true",
                    help="log construction steps and fired sets to stderr")
     p.set_defaults(func=cmd_treedec)
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("morphism-td",
                        help="tree decomposition from a harmonic morphism")
     common(p, divisor=False)
-    output_format(p)
+    output_format(p, "pace", "dot")
     p.add_argument("--tree", required=True, help="target tree in .gr format")
     p.add_argument("--morphism", required=True, help="morphism file")
     p.add_argument("--original",

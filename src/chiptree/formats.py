@@ -204,6 +204,8 @@ def _parse_document(lines: list[str]) -> tuple[MultiGraph, Optional[Divisor]]:
             found[key] = rest
     if "vertices" not in found:
         raise FormatError("document is missing a 'vertices' line")
+    if "divisor" in found and "divisor-dense" in found:
+        raise FormatError("document has both a 'divisor' and a 'divisor-dense' line")
     labels = found["vertices"].split()
     index = {name: i for i, name in enumerate(labels)}
     try:
@@ -211,16 +213,15 @@ def _parse_document(lines: list[str]) -> tuple[MultiGraph, Optional[Divisor]]:
     except KeyError as exc:
         raise FormatError(f"edge uses unknown vertex {exc.args[0]!r}") from None
     g = MultiGraph(len(labels), edges, labels=labels)
-    divisor = None
+    if "divisor" in found:
+        return g, parse_divisor(found["divisor"], g)
     if "divisor-dense" in found:
         dense_line = found["divisor-dense"]
         chips = _ints(dense_line.split(), dense_line, "divisor-dense line")
         if len(chips) != g.n:
             raise FormatError("divisor-dense length does not match vertex count")
-        divisor = Divisor(chips)
-    if "divisor" in found:
-        divisor = parse_divisor(found["divisor"], g)
-    return g, divisor
+        return g, Divisor(chips)
+    return g, None
 
 
 def write_document(g: MultiGraph, d: Optional[Divisor] = None) -> str:

@@ -22,7 +22,6 @@ from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around,
 SPLIT = "split"    # case (c), construction step I
 SHRINK = "shrink"  # case (a), construction step II
 GROW = "grow"      # case (b), construction step III
-LEAF = "leaf"
 ROOT = "root"
 
 STEP_LABEL = {SPLIT: "I", SHRINK: "II", GROW: "III"}
@@ -43,27 +42,45 @@ class MssTree(FrozenRecord):
     """Rooted strategy tree; node 0 is the root (empty X, full territory).
 
     The fields are the columns, one tuple each of the nodes' searcher sets
-    and territories, both as bitmasks (bit v for vertex v), moves, parents
-    and tuples of children; they are the tree's only storage.  ``nodes``
-    shows them as ``MssNode`` records, built on each read.  ``_built_for``
-    is the graph ``build_mss`` built the tree for, and None on every tree
-    made any other way, copies and unpickled trees included.
+    and territories, both as bitmasks (bit v for vertex v), and parents;
+    they are the tree's only storage.  ``children``, ``moves`` and
+    ``nodes`` (``MssNode`` records) are read from them on each read.
+    ``_built_for`` is the graph ``build_mss`` built the tree for, and None
+    on every tree made any other way, copies and unpickled trees included.
     """
 
-    __slots__ = ("searchers", "xs", "territories", "moves", "parents", "children",
-                 "_built_for")
+    __slots__ = ("searchers", "xs", "territories", "parents", "_built_for")
 
     def __init__(self, searchers: int, xs: Iterable[int],
-                 territories: Iterable[int], moves: Iterable[str],
-                 parents: Iterable[Optional[int]], children: Iterable[Iterable[int]]):
+                 territories: Iterable[int], parents: Iterable[Optional[int]]):
         put = object.__setattr__
         put(self, "searchers", searchers)
         put(self, "xs", tuple(xs))
         put(self, "territories", tuple(territories))
-        put(self, "moves", tuple(moves))
         put(self, "parents", tuple(parents))
-        put(self, "children", tuple(map(tuple, children)))
         put(self, "_built_for", None)
+
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children, in ascending order."""
+        kids: list[list[int]] = [[] for _ in self.parents]
+        for c, p in enumerate(self.parents):
+            if p is not None:
+                kids[p].append(c)
+        return tuple(map(tuple, kids))
+
+    @property
+    def moves(self) -> tuple[str, ...]:
+        """Each node's move: ``root`` for the root, ``split`` for a child
+        with siblings, ``shrink`` (case (a)) for an only child whose X is a
+        proper submask of its parent's and ``grow`` (case (b)) otherwise."""
+        xs, moves = self.xs, [ROOT] * len(self.xs)
+        for p, kids in enumerate(self.children):
+            for c in kids:
+                x, px = xs[c], xs[p]
+                moves[c] = (SPLIT if len(kids) > 1 else
+                            SHRINK if x != px and not x & ~px else GROW)
+        return tuple(moves)
 
     @property
     def nodes(self) -> tuple[MssNode, ...]:
@@ -91,9 +108,8 @@ class MssTree(FrozenRecord):
                      for column in columns))
 
     def _labels(self, g: MultiGraph) -> Iterator[str]:
-        """Each node's "X | R" label."""
-        for x, territory in self._sets(g.n):
-            yield f"{g.set_name(x)} | {g.set_name(territory)}"
+        """Each node's "X | R" label; the masks are checked on the call."""
+        return (f"{g.set_name(x)} | {g.set_name(r)}" for x, r in self._sets(g.n))
 
     def to_text(self, g: MultiGraph) -> str:
         """The searcher count, then per node its parent, move and label."""
@@ -108,9 +124,10 @@ class MssTree(FrozenRecord):
         lines = ["digraph mss {", "  node [shape=record];"]
         for i, label in enumerate(self._labels(g)):
             lines.append(f'  n{i} [label="{label}"];')
+        moves = self.moves
         for i, kids in enumerate(self.children):
             for c in kids:
-                tag = STEP_LABEL.get(self.moves[c], "")
+                tag = STEP_LABEL.get(moves[c], "")
                 attr = f' [label="{tag}"]' if tag else ""
                 lines.append(f"  n{i} -> n{c}{attr};")
         lines.append("}")
@@ -211,19 +228,13 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     # the tree's columns: the root (empty, V), then its child (supp(D), V - supp(D))
     xs = [0, supp]
     rs = [everything, everything & ~supp]
-    moves = [ROOT, GROW]
     parents: list[Optional[int]] = [None, 0]
-    children: list[list[int]] = [[1], []]
 
-    def add_node(parent: int, x: int, r: int, move: str) -> int:
-        idx = len(xs)
+    def add_node(parent: int, x: int, r: int) -> int:
         xs.append(x)
         rs.append(r)
-        moves.append(move)
         parents.append(parent)
-        children.append([])
-        children[parent].append(idx)
-        return idx
+        return len(parents) - 1
 
     # open positions with the chips of an effective D, X <= supp(D) and R
     # disjoint from supp(D), and the first construction step that may
@@ -252,7 +263,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
                     trace.append(("I", Position(_vertices(x), _vertices(r)),
                                   list(map(_vertices, flaps))))
                 for flap in flaps:
-                    pending.append((add_node(i, x, flap, SPLIT), chips_cur, 2))
+                    pending.append((add_node(i, x, flap), chips_cur, 2))
                 continue
 
         if step <= 2:
@@ -268,7 +279,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
                 if trace is not None:
                     trace.append(("II", Position(_vertices(x), _vertices(r)),
                                   _vertices(nx)))
-                pending.append((add_node(i, nx, r, SHRINK), chips_cur, 3))
+                pending.append((add_node(i, nx, r), chips_cur, 3))
                 continue
 
         # step III: N(R) = X and R is a single flap; advance along a firing set
@@ -288,27 +299,27 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             if grown:
                 x |= grown
                 left ^= grown
-                parent = add_node(parent, x, left, GROW)
+                parent = add_node(parent, x, left)
             x ^= low
-            parent = add_node(parent, x, left, SHRINK)
+            parent = add_node(parent, x, left)
         # once the territory is captured, no step reads the fired chips
         if left:
             _fire_unburnt(adj, chips, room)
             pending.append((parent, tuple(chips), 1))
 
-    tree = MssTree(d.degree + 1, xs, rs, moves, parents, children)
+    tree = MssTree(d.degree + 1, xs, rs, parents)
     object.__setattr__(tree, "_built_for", g)
     return tree
 
 
 def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
-    """Check the defining clauses of a monotone search strategy, and that
-    each node's move names what its shape is: the root ``root``, a child
-    with siblings ``split``, any other child ``shrink`` (case (a)) or
-    ``grow`` (case (b)).
+    """Check the defining clauses of a monotone search strategy.
 
-    Trailing shrink moves with empty territory are accepted: the
-    construction emits them after capture (see the worked golden trace).
+    Nodes are numbered parent first, as ``build_mss`` makes them: the
+    root's parent is None and every other node's is a node numbered
+    before it, so every node is reachable from the root.  Trailing shrink
+    moves with empty territory are accepted: the construction emits them
+    after capture (see the worked golden trace).
     """
     violations: list[MssViolation] = []
 
@@ -317,38 +328,25 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     n = g.n
     nbr = g.neighbour_masks
-    xs, moves, kids_of = tree.xs, tree.moves, tree.children
+    xs, parents = tree.xs, tree.parents
     size = len(xs)
     if not size:
         return MssReport(False, [MssViolation(None, "empty tree")])
-    lengths = [len(column) for column in
-               (xs, tree.territories, moves, tree.parents, kids_of)]
+    lengths = [len(column) for column in (xs, tree.territories, parents)]
     if len(set(lengths)) > 1:
         return MssReport(False, [MssViolation(None, f"columns have lengths {lengths}")])
 
-    # before any check reads a node, walk from the root: every child index
-    # names a node, no node is reached twice and every node is reached;
-    # the walk also learns each node's parent
-    walk, parent_of = [0], [None] * size
-    for i in walk:
-        for c in kids_of[i]:
-            if not (isinstance(c, int) and 0 <= c < size):
-                bad(i, f"child {c!r} names a node outside 0..{size - 1}")
-            elif c == 0 or parent_of[c] is not None:
-                bad(i, f"child {c} is already in the tree")
-            else:
-                parent_of[c] = i
-                walk.append(c)
-    if len(walk) < size:
-        unreached = [i for i in range(1, size) if parent_of[i] is None]
-        bad(None, f"nodes {unreached} are not reachable from the root")
+    # the numbering comes first: ``children`` is read from the parents
+    if parents[0] is not None:
+        bad(0, f"root has parent {parents[0]!r}")
+    for i in range(1, size):
+        if not (isinstance(parents[i], int) and 0 <= parents[i] < i):
+            bad(i, f"parent {parents[i]!r} is not a node numbered before {i}")
     if violations:
         return MssReport(False, violations)
 
     if xs[0] != 0 or tree.territories[0] != (1 << n) - 1:
         bad(0, "root is not (empty, V)")
-    if moves[0] != ROOT:
-        bad(0, f"move is {moves[0]!r}, not {ROOT!r}")
     if size > n * n + 1:
         bad(None, f"tree has {size} nodes, above the n^2+1 bound")
 
@@ -356,9 +354,7 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     xs = [x if _is_mask(x, n) else -1 for x in xs]
     rs = [r if _is_mask(r, n) else -1 for r in tree.territories]
 
-    for i, (x, r, kids, parent) in enumerate(zip(xs, rs, kids_of, tree.parents)):
-        if parent != parent_of[i]:
-            bad(i, f"parent field is {parent!r}, not {parent_of[i]!r}")
+    for i, (x, r, kids) in enumerate(zip(xs, rs, tree.children)):
         if x < 0 or r < 0:
             bad(i, f"searchers or territory name a vertex outside 0..{n - 1}")
             continue
@@ -376,30 +372,18 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         if not kids:
             if r:
                 bad(i, "incomplete leaf (territory nonempty)")
-            continue
-
-        if len(kids) == 1:
-            c = kids[0]
-            cx, cr = xs[c], rs[c]
-            if cx != x and not cx & ~x and cr == r:
-                move = SHRINK  # case (a)
-            elif cx != x and not x & ~cx and not cx & ~(x | r) and cr == r & ~cx:
-                move = GROW  # case (b)
-            else:
+        elif len(kids) == 1:
+            cx, cr = xs[kids[0]], rs[kids[0]]
+            shrink = not cx & ~x and cr == r  # case (a)
+            grow = not x & ~cx and not cx & ~(x | r) and cr == r & ~cx  # case (b)
+            if cx == x or not (shrink or grow):
                 bad(i, "single child matches neither shrink nor grow")
-                continue
+        elif any(xs[c] != x for c in kids):
+            bad(i, "split children must keep the same searchers")
         else:
-            move = SPLIT
-            if any(xs[c] != x for c in kids):
-                bad(i, "split children must keep the same searchers")
-            else:
-                child_rs = [rs[c] for c in kids]
-                flaps = _components(nbr, free)
-                if set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
-                    bad(i, "split children are not exactly the X-flaps of R")
-        # each child's move names the case its shape matches
-        for c in kids:
-            if moves[c] != move:
-                bad(c, f"move is {moves[c]!r}, not {move!r}")
+            child_rs = [rs[c] for c in kids]
+            flaps = _components(nbr, free)
+            if set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
+                bad(i, "split children are not exactly the X-flaps of R")
 
     return MssReport(not violations, violations)

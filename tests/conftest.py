@@ -30,12 +30,36 @@ def fixture_divisor(fixture_graph):
 
 def edit_node(tree: MssTree, i: int, **columns) -> MssTree:
     """A copy of a frozen strategy tree with node i's entries in the named
-    columns replaced, e.g. ``edit_node(tree, 1, children=(2, 99))``."""
-    values = {name: list(getattr(tree, name))
-              for name in ("xs", "territories", "moves", "parents", "children")}
+    columns replaced, e.g. ``edit_node(tree, 1, parents=99)``."""
+    values = {name: list(getattr(tree, name)) for name in ("xs", "territories", "parents")}
     for name, value in columns.items():
         values[name][i] = value
     return MssTree(tree.searchers, **values)
+
+
+def moves_and_children_by_definition(tree: MssTree) -> tuple[list[str], list[tuple]]:
+    """Each node's case and children, named from the searcher masks and the
+    parent pointers alone: the root, a split for a child with siblings, a
+    shrink (case (a)) for an only child whose searchers are a proper
+    subset of its parent's, and a grow (case (b)) for any other child."""
+    def searchers(i):
+        return {v for v in range(tree.xs[i].bit_length()) if tree.xs[i] >> v & 1}
+
+    children = [[] for _ in tree.parents]
+    for c, p in enumerate(tree.parents):
+        if p is not None:
+            children[p].append(c)
+    moves = []
+    for c, p in enumerate(tree.parents):
+        if p is None:
+            moves.append("root")
+        elif len(children[p]) > 1:
+            moves.append("split")
+        elif searchers(c) < searchers(p):
+            moves.append("shrink")
+        else:
+            moves.append("grow")
+    return moves, [tuple(sorted(kids)) for kids in children]
 
 
 def grid_with_a_chip_per_row(k: int) -> tuple[MultiGraph, Divisor]:

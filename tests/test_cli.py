@@ -86,6 +86,14 @@ class TestInfo:
         assert (code, out) == (2, "")
         assert err == "error: malformed-input: document has a second 'divisor' line\n"
 
+    def test_divisor_in_both_forms_is_bad_input(self, capsys, doc_path):
+        with open(doc_path, "a") as fh:
+            fh.write("divisor-dense 0 1 0 0 0 0 0\n")
+        code, out, err = run(capsys, "info", "--input", doc_path)
+        assert (code, out) == (2, "")
+        assert err == ("error: malformed-input: document has both a 'divisor' and a "
+                       "'divisor-dense' line\n")
+
     def test_format_is_not_an_option(self, capsys, doc_path):
         # only mss, treedec and morphism-td write a format
         with pytest.raises(SystemExit) as exc:
@@ -157,8 +165,31 @@ class TestMssAndTreedec:
         code, out, _ = run(capsys, "mss", "--input", doc_path,
                            "--format", "text")
         assert code == 0
-        assert "searchers: 4" in out
-        assert out.count("node ") == 14
+        assert out == (
+            "searchers: 4\n"
+            "node 0 parent - root ({} | abcdefg)\n"
+            "node 1 parent 0 grow (a | bcdefg)\n"
+            "node 2 parent 1 grow (abc | defg)\n"
+            "node 3 parent 2 shrink (bc | defg)\n"
+            "node 4 parent 3 split (bc | d)\n"
+            "node 5 parent 3 split (bc | efg)\n"
+            "node 6 parent 4 shrink (b | d)\n"
+            "node 7 parent 5 grow (bcg | ef)\n"
+            "node 8 parent 7 shrink (bg | ef)\n"
+            "node 9 parent 6 grow (bd | {})\n"
+            "node 10 parent 9 shrink (d | {})\n"
+            "node 11 parent 8 grow (befg | {})\n"
+            "node 12 parent 11 shrink (efg | {})\n"
+            "node 13 parent 12 shrink (ef | {})\n")
+
+    @pytest.mark.parametrize("command, fmt", [("mss", "pace"), ("treedec", "text"),
+                                              ("morphism-td", "text")])
+    def test_format_names_only_what_the_command_writes(self, capsys, doc_path,
+                                                       command, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", doc_path, "--format", fmt])
+        assert exc.value.code == 2
+        assert f"--format: invalid choice: '{fmt}'" in capsys.readouterr().err
 
     def test_mss_dot(self, capsys, doc_path):
         code, out, _ = run(capsys, "mss", "--input", doc_path,

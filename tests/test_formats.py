@@ -381,3 +381,15 @@ class TestRepeatedKeys:
         parse_document(text)
         with pytest.raises(FormatError, match=f"^document has a second '{key}' line$"):
             parse_document(text + line + "\n")
+
+    @pytest.mark.parametrize("lines", [["divisor-dense 1 0", "divisor b:1"],
+                                       ["divisor b:1", "divisor-dense 1 0"]],
+                             ids=["dense-first", "sparse-first"])
+    def test_document_divisor_in_both_forms(self, lines):
+        # either line alone gives the divisor; both give it two sources
+        text = "format chiptree/1\nvertices a b\nedge a b\n"
+        for line in lines:
+            assert parse_document(text + line + "\n")[1] is not None
+        with pytest.raises(FormatError, match="^document has both a 'divisor' and a "
+                                              "'divisor-dense' line$"):
+            parse_document(text + "\n".join(lines) + "\n")

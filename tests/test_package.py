@@ -75,6 +75,36 @@ def test_module_has_no_unused_import_and_no_assert(path):
     assert asserts == []
 
 
+def test_every_private_function_and_constant_is_read():
+    """Lint by AST: each private module-level function and each UPPER_CASE
+    module constant in the package is read somewhere in the package
+    outside its own definition."""
+    defined, reads = {}, set()
+    for path in sorted((SRC / "chiptree").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                owner = stmt.name
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                owner = next((name for name in names
+                              if name.lstrip("_")[:1].isupper() and name.upper() == name), None)
+            if owner:
+                defined[owner] = f"{path.name}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = node.id
+                elif isinstance(node, ast.Attribute):
+                    read = node.attr
+                else:
+                    continue
+                if read != owner:
+                    reads.add(read)
+    assert {name: where for name, where in defined.items() if name not in reads} == {}
+
+
 class TestRecords:
     def test_frozen_record_equality_hash_and_repr(self):
         d = Divisor((3, 0, 1))

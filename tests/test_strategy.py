@@ -22,10 +22,10 @@ from chiptree import (
     validate_treedec,
 )
 from chiptree import gonality, graph, strategy, treedec
-from chiptree.strategy import GROW, LEAF, ROOT, SHRINK, SPLIT, MssNode, MssTree, MssViolation
+from chiptree.strategy import GROW, ROOT, SHRINK, SPLIT, MssNode, MssTree, MssViolation
 
-from conftest import (edit_node, grid_with_a_chip_per_row, multigraphs,
-                      random_connected_multigraph)
+from conftest import (edit_node, grid_with_a_chip_per_row, moves_and_children_by_definition,
+                      multigraphs, random_connected_multigraph)
 from chiptree.gonality import effective_divisors
 
 # Positions of the golden strategy tree for the 7-vertex example, as
@@ -173,7 +173,7 @@ class TestBuildMss:
         tree = build_mss(fixture_graph, fixture_divisor)
         assert tree.nodes[0].move == ROOT
         for node in tree.nodes[1:]:
-            assert node.move in (GROW, SHRINK, SPLIT, LEAF)
+            assert node.move in (GROW, SHRINK, SPLIT)
             parent = tree.nodes[node.parent].position
             pos = node.position
             if node.move == GROW:
@@ -244,6 +244,25 @@ def _random_corpus():
     return built
 
 
+def test_moves_and_children_follow_from_masks_and_parents(fixture_graph, fixture_divisor):
+    """On the fixture, 60 random graphs and the 12 x 12 grid with a chip per
+    row, each node's move and children are those the searcher masks and
+    the parent pointers name."""
+    cases = [(fixture_graph, fixture_divisor), grid_with_a_chip_per_row(12)]
+    rng = random.Random(6060)
+    while len(cases) < 62:
+        g = random_connected_multigraph(rng, rng.randint(2, 8))
+        d = next((d for d in effective_divisors(g.n, rng.randint(1, 4))
+                  if has_positive_rank(g, d)), None)
+        if d is not None:
+            cases.append((g, d))
+    for g, d in cases:
+        tree = build_mss(g, d)
+        moves, children = moves_and_children_by_definition(tree)
+        assert list(tree.moves) == moves
+        assert list(tree.children) == children
+
+
 def test_build_mss_reuses_the_rank_verdict(monkeypatch):
     """After ``has_positive_rank(g, d)`` accepts, ``build_mss(g, d)`` keeps
     its rank check but burns no further rank-test round."""
@@ -297,16 +316,17 @@ class TestValidateMss:
 
     def test_rejects_incomplete_leaf(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
-        # chop off a subtree: the split node at (bc, defg) keeps one child
-        i = next(i for i, kids in enumerate(tree.children) if len(kids) > 1)
-        tree = edit_node(tree, i, children=tree.children[i][:-1])
+        # keep nodes 0..6 only: the split children (bc, d) and (bc, efg)
+        # and the shrink (b, d) end the search with territory left
+        tree = MssTree(tree.searchers, tree.xs[:7], tree.territories[:7], tree.parents[:7])
         report = validate_mss(fixture_graph, tree, 4)
-        assert not report.ok
+        assert report.violations == [
+            MssViolation(5, "incomplete leaf (territory nonempty)"),
+            MssViolation(6, "incomplete leaf (territory nonempty)")]
 
     def test_rejects_bad_root(self, fixture_graph):
         g = fixture_graph
-        tree = MssTree(searchers=4, xs=[1], territories=[(1 << g.n) - 2],
-                       moves=[LEAF], parents=[None], children=[()])
+        tree = MssTree(searchers=4, xs=[1], territories=[(1 << g.n) - 2], parents=[None])
         report = validate_mss(g, tree, 4)
         assert not report.ok
         assert "root" in report.first().reason
@@ -336,32 +356,9 @@ class TestValidateMss:
     def test_rejects_a_tree_above_the_node_bound(self):
         # a valid strategy on one vertex but for its third node
         g = MultiGraph(1, [])
-        tree = MssTree(2, [0, 1, 0], [1, 0, 0], [ROOT, GROW, SHRINK], [None, 0, 1],
-                       [[1], [2], []])
+        tree = MssTree(2, [0, 1, 0], [1, 0, 0], [None, 0, 1])
         assert validate_mss(g, tree, 2).violations == [
             MssViolation(None, "tree has 3 nodes, above the n^2+1 bound")]
-
-    @pytest.mark.parametrize("node, move, expected", [
-        (0, GROW, ROOT), (1, SHRINK, GROW), (3, GROW, SHRINK), (5, GROW, SPLIT),
-        (13, LEAF, SHRINK)])
-    def test_rejects_a_move_its_shape_does_not_name(self, fixture_graph, fixture_divisor,
-                                                   node, move, expected):
-        tree = edit_node(build_mss(fixture_graph, fixture_divisor), node, moves=move)
-        assert validate_mss(fixture_graph, tree, 4).violations == [
-            MssViolation(node, f"move is {move!r}, not {expected!r}")]
-        with pytest.raises(DomainError, match="invalid search strategy: move is"):
-            mss_to_treedec(fixture_graph, tree)
-
-    def test_rejects_leaf_on_every_node(self, fixture_graph, fixture_divisor):
-        # used to validate, print "leaf" on every node and give a decomposition
-        tree = build_mss(fixture_graph, fixture_divisor)
-        tree = MssTree(tree.searchers, tree.xs, tree.territories, [LEAF] * 14,
-                       tree.parents, tree.children)
-        report = validate_mss(fixture_graph, tree, 4)
-        assert len(report.violations) == 14
-        assert report.first() == MssViolation(0, "move is 'leaf', not 'root'")
-        with pytest.raises(DomainError):
-            mss_to_treedec(fixture_graph, tree)
 
     def test_rejects_searcher_overflow(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
@@ -369,51 +366,52 @@ class TestValidateMss:
         assert not report.ok
         assert "searchers" in report.first().reason
 
-    @pytest.mark.parametrize("child", [99, -1])
-    def test_rejects_child_outside_the_tree(self, fixture_graph, fixture_divisor, child):
-        # 99 used to raise IndexError; -1 wrapped to the last node
-        tree = build_mss(fixture_graph, fixture_divisor)
-        tree = edit_node(tree, 1, children=tree.children[1] + (child,))
-        report = validate_mss(fixture_graph, tree, 4)
-        assert report.violations == [
-            MssViolation(1, f"child {child} names a node outside 0..13")]
+    @pytest.mark.parametrize("parent", [99, -1])
+    def test_rejects_child_outside_the_tree(self, fixture_graph, fixture_divisor, parent):
+        # node 1 hangs from a parent outside the tree
+        tree = edit_node(build_mss(fixture_graph, fixture_divisor), 1, parents=parent)
+        assert validate_mss(fixture_graph, tree, 4).violations == [
+            MssViolation(1, f"parent {parent} is not a node numbered before 1")]
+        with pytest.raises(DomainError, match="is not a node numbered before"):
+            mss_to_treedec(fixture_graph, tree)
 
-    @pytest.mark.parametrize("parent, child", [(1, 2), (5, 0)],
-                             ids=["sibling-twice", "back-to-root"])
-    def test_rejects_child_reached_twice(self, fixture_graph, fixture_divisor,
-                                         parent, child):
-        tree = build_mss(fixture_graph, fixture_divisor)
-        tree = edit_node(tree, parent, children=tree.children[parent] + (child,))
-        report = validate_mss(fixture_graph, tree, 4)
-        assert report.violations == [
-            MssViolation(parent, f"child {child} is already in the tree")]
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("parent", [5], ids=["back-to-root"])
+    def test_rejects_child_reached_twice(self, fixture_graph, fixture_divisor, parent):
+        # the root reached again, as a child of node 5
+        tree = edit_node(build_mss(fixture_graph, fixture_divisor), 0, parents=parent)
+        assert validate_mss(fixture_graph, tree, 4).violations == [
+            MssViolation(0, f"root has parent {parent}")]
+        with pytest.raises(DomainError, match="invalid search strategy: root has parent"):
             mss_to_treedec(fixture_graph, tree)
 
     def test_rejects_unreachable_node(self, fixture_graph, fixture_divisor):
-        # 11 -> 12 -> 13 becomes 11 -> 13: node 12 used to vanish from the
-        # decomposition (13 bags from 14 nodes) with the tree reported valid
+        # nodes 12 and 13 name each other as parent, out of the root's reach
         tree = build_mss(fixture_graph, fixture_divisor)
-        assert tree.children[11] == (12,) and tree.children[12] == (13,)
-        tree = edit_node(tree, 11, children=(13,))
+        assert tree.parents[13] == 12
+        tree = edit_node(tree, 12, parents=13)
         report = validate_mss(fixture_graph, tree, 4)
         assert report.violations == [
-            MssViolation(None, "nodes [12] are not reachable from the root")]
+            MssViolation(12, "parent 13 is not a node numbered before 12")]
         with pytest.raises(DomainError):
             mss_to_treedec(fixture_graph, tree)
 
-    @pytest.mark.parametrize("node, parent, true_parent",
-                             [(5, 0, 3), (2, 9, 1), (0, 3, None)],
-                             ids=["sibling", "outside", "root"])
+    @pytest.mark.parametrize("node, parent, violations", [
+        (5, 0, [(0, "split children must keep the same searchers"),
+                (3, "single child matches neither shrink nor grow")]),
+        (2, 9, [(2, "parent 9 is not a node numbered before 2")]),
+        (0, 3, [(0, "root has parent 3")]),
+        (3, "2", [(3, "parent '2' is not a node numbered before 3")]),
+        (3, 2.0, [(3, "parent 2.0 is not a node numbered before 3")]),
+    ], ids=["sibling", "outside", "root", "not-an-int", "float"])
     def test_rejects_wrong_parent_field(self, fixture_graph, fixture_divisor,
-                                        node, parent, true_parent):
-        tree = build_mss(fixture_graph, fixture_divisor)
-        assert tree.parents[node] == true_parent
-        tree = edit_node(tree, node, parents=parent)
-        report = validate_mss(fixture_graph, tree, 4)
-        assert report.violations == [
-            MssViolation(node, f"parent field is {parent}, not {true_parent}")]
-        with pytest.raises(DomainError):
+                                        node, parent, violations):
+        # the numbering cases: the root has a parent, a parent numbered at
+        # or after its child, a parent that is not an int; re-parenting
+        # node 5 onto the root keeps the numbering but breaks two shapes
+        tree = edit_node(build_mss(fixture_graph, fixture_divisor), node, parents=parent)
+        assert validate_mss(fixture_graph, tree, 4).violations == \
+            [MssViolation(*v) for v in violations]
+        with pytest.raises(DomainError, match="invalid search strategy"):
             mss_to_treedec(fixture_graph, tree)
 
 
@@ -447,16 +445,15 @@ def test_validate_mss_rejects_a_vertex_outside_the_graph(fixture_graph, fixture_
 
 def test_validate_mss_rejects_columns_of_different_lengths(fixture_graph, fixture_divisor):
     tree = build_mss(fixture_graph, fixture_divisor)
-    tree = MssTree(tree.searchers, tree.xs, tree.territories[:-1], tree.moves,
-                   tree.parents, tree.children)
+    tree = MssTree(tree.searchers, tree.xs, tree.territories[:-1], tree.parents)
     assert validate_mss(fixture_graph, tree, 4).violations == [
-        MssViolation(None, "columns have lengths [14, 13, 14, 14, 14]")]
+        MssViolation(None, "columns have lengths [14, 13, 14]")]
     with pytest.raises(DomainError):
         mss_to_treedec(fixture_graph, tree)
 
 
 def test_empty_tree_uses_no_searchers(fixture_graph):
-    tree = MssTree(0, (), (), (), (), ())
+    tree = MssTree(0, (), (), ())
     assert tree.max_searchers_used() == 0 and tree.nodes == ()
     assert validate_mss(fixture_graph, tree, 0).violations == [
         MssViolation(None, "empty tree")]
@@ -588,7 +585,7 @@ def test_columns_round_trip_through_records(instance):
     assert [(n.move, n.parent, n.children) for n in nodes] == \
         list(zip(tree.moves, tree.parents, tree.children))
     remade = MssTree(tree.searchers, list(tree.xs), list(tree.territories),
-                     list(tree.moves), list(tree.parents), map(list, tree.children))
+                     list(tree.parents))
     assert remade == tree and hash(remade) == hash(tree)
     assert remade.to_dot(g) == tree.to_dot(g)
     assert remade.max_searchers_used() == tree.max_searchers_used()

@@ -248,8 +248,7 @@ class TestTrustedStrategy:
         elif other == "pickle":
             tree = pickle.loads(pickle.dumps(tree))
         else:
-            tree = MssTree(tree.searchers, tree.xs, tree.territories, tree.moves,
-                           tree.parents, tree.children)
+            tree = MssTree(tree.searchers, tree.xs, tree.territories, tree.parents)
         assert tree == build_mss(fixture_graph, fixture_divisor)
         assert mss_to_treedec(g, tree) == trusted
         assert validations[0] == 1
@@ -262,7 +261,9 @@ class TestTrustedStrategy:
             tree.nodes[3].children = (4,)
         with pytest.raises(AttributeError):
             tree.nodes[5].parent = 0
-        columns = (tree.xs, tree.territories, tree.moves, tree.parents, tree.children)
+        with pytest.raises(AttributeError):
+            tree.moves = ()
+        columns = (tree.xs, tree.territories, tree.parents)
         assert all(isinstance(column, tuple) for column in columns)
         assert all(isinstance(kids, tuple) for kids in tree.children)
 
@@ -274,8 +275,7 @@ class TestTrustedStrategy:
         assert repr(copied) == repr(tree)
         assert "_built_for" not in repr(tree)
         with pytest.raises(TypeError):
-            MssTree(tree.searchers, tree.xs, tree.territories, tree.moves,
-                    tree.parents, tree.children, fixture_graph)
+            MssTree(tree.searchers, tree.xs, tree.territories, tree.parents, fixture_graph)
 
 
 class TestMssToTreedec:
@@ -320,10 +320,15 @@ class TestMssToTreedec:
 
     def test_rejects_broken_strategy(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
-        i = next(i for i, kids in enumerate(tree.children) if len(kids) > 1)
-        tree = edit_node(tree, i, children=tree.children[i][:-1])
-        with pytest.raises(DomainError):
-            mss_to_treedec(fixture_graph, tree)
+        # the root has a parent, a parent numbered after its child, a parent
+        # that is not an int, and a search cut short after node 6
+        broken = [edit_node(tree, 0, parents=3), edit_node(tree, 2, parents=9),
+                  edit_node(tree, 3, parents="2"),
+                  MssTree(tree.searchers, tree.xs[:7], tree.territories[:7],
+                          tree.parents[:7])]
+        for tree in broken:
+            with pytest.raises(DomainError, match="invalid search strategy"):
+                mss_to_treedec(fixture_graph, tree)
 
     def test_width_bounded_by_degree_on_corpus(self):
         rng = random.Random(2718)
