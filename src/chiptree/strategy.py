@@ -65,8 +65,11 @@ class MssTree(FrozenRecord):
         """Each node's children, in ascending order."""
         kids: list[list[int]] = [[] for _ in self.parents]
         for c, p in enumerate(self.parents):
-            if p is not None:
-                kids[p].append(c)
+            try:  # kids[None] raises for a parent that is no earlier node
+                if c or p is not None:
+                    kids[p if 0 <= p < c else None].append(c)
+            except TypeError:
+                raise DomainError(f"parent {p!r} is not a node numbered before {c}") from None
         return tuple(map(tuple, kids))
 
     @property
@@ -317,9 +320,10 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     Nodes are numbered parent first, as ``build_mss`` makes them: the
     root's parent is None and every other node's is a node numbered
-    before it, so every node is reachable from the root.  Trailing shrink
-    moves with empty territory are accepted: the construction emits them
-    after capture (see the worked golden trace).
+    before it, so every node is reachable from the root.  Positions are
+    checked at the root and, for every other node, through the move that
+    made it (README).  Trailing shrink moves with empty territory are
+    accepted: the construction emits them after capture (golden trace).
     """
     violations: list[MssViolation] = []
 
@@ -358,23 +362,16 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
         if x < 0 or r < 0:
             bad(i, f"searchers or territory name a vertex outside 0..{n - 1}")
             continue
-        if x & r:
-            bad(i, "searchers and territory overlap")
         if x.bit_count() > k:
             bad(i, f"|X|={x.bit_count()} exceeds {k} searchers")
-        # territory vertices in X are in no flap, and an empty territory,
-        # as after capture, has none
-        free = r & ~x
-        if _around(nbr, free) & ~(free | x):
-            bad(i, "territory is not a union of X-flaps")
-            continue
 
         if not kids:
             if r:
                 bad(i, "incomplete leaf (territory nonempty)")
         elif len(kids) == 1:
             cx, cr = xs[kids[0]], rs[kids[0]]
-            shrink = not cx & ~x and cr == r  # case (a)
+            # case (a), where no searcher that leaves borders R
+            shrink = not cx & ~x and cr == r and not _around(nbr, x & ~cx) & r
             grow = not x & ~cx and not cx & ~(x | r) and cr == r & ~cx  # case (b)
             if cx == x or not (shrink or grow):
                 bad(i, "single child matches neither shrink nor grow")
@@ -382,7 +379,7 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             bad(i, "split children must keep the same searchers")
         else:
             child_rs = [rs[c] for c in kids]
-            flaps = _components(nbr, free)
+            flaps = _components(nbr, r)
             if set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
                 bad(i, "split children are not exactly the X-flaps of R")
 

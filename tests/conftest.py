@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the code paths they check: fireable
 sets are found by exhaustive subset enumeration, equivalence by breadth
 first search over all effective divisors reachable by firing, treewidth
-by trying every elimination order, and decomposition checks by scanning
-every bag for every edge and vertex.
+by trying every elimination order, decomposition checks by scanning
+every bag for every edge and vertex, and strategy checks by testing every
+clause at every node on vertex sets.
 """
 
 import random
@@ -60,6 +61,69 @@ def moves_and_children_by_definition(tree: MssTree) -> tuple[list[str], list[tup
         else:
             moves.append("grow")
     return moves, [tuple(sorted(kids)) for kids in children]
+
+
+def mss_ok_by_definition(g: MultiGraph, tree: MssTree, k: int) -> bool:
+    """Whether a strategy tree meets every clause at every node, read as
+    vertex sets: nodes numbered parent first from the root (empty, V), at
+    most n^2 + 1 of them, and at each node R disjoint from X, |X| <= k,
+    every edge leaving R ending in X, an empty territory at a leaf, a
+    shrink or a grow for an only child, and children with the same X
+    whose territories are the X-flaps of R, found by a search over the
+    edge list."""
+    xs, rs, parents = tree.xs, tree.territories, tree.parents
+    size = len(xs)
+    if not size or len(rs) != size or len(parents) != size or size > g.n * g.n + 1:
+        return False
+    if parents[0] is not None or not all(isinstance(p, int) and 0 <= p < i
+                                         for i, p in enumerate(parents) if i):
+        return False
+
+    def members(m):
+        if not isinstance(m, int) or m < 0 or m >= 1 << g.n:
+            return None
+        return frozenset(v for v in range(g.n) if m >> v & 1)
+
+    sets = [(members(x), members(r)) for x, r in zip(xs, rs)]
+    if any(x is None or r is None for x, r in sets):
+        return False
+    if sets[0] != (frozenset(), frozenset(range(g.n))):
+        return False
+
+    arcs = g.edge_list + [(b, a) for a, b in g.edge_list]
+
+    def flaps(r):
+        found, left = [], set(r)
+        while left:
+            flap, grew = {left.pop()}, True
+            while grew:
+                grew = {b for a, b in arcs if a in flap and b in left}
+                flap |= grew
+                left -= grew
+            found.append(frozenset(flap))
+        return sorted(found, key=sorted)
+
+    children = [[] for _ in parents]
+    for c, p in enumerate(parents):
+        if c:
+            children[p].append(c)
+    for (x, r), kids in zip(sets, children):
+        if x & r or len(x) > k:
+            return False
+        if any((a in r) != (b in r) and not {a, b} & x for a, b in g.edge_list):
+            return False
+        kid_sets = [sets[c] for c in kids]
+        if not kids:
+            if r:
+                return False
+        elif len(kids) == 1:
+            (cx, cr), = kid_sets
+            if not (cx < x and cr == r or x < cx <= x | r and cr == r - cx):
+                return False
+        elif any(cx != x for cx, _ in kid_sets) or \
+                sorted((cr for _, cr in kid_sets), key=sorted) != flaps(r):
+            return False
+    return True
 
 
 def grid_with_a_chip_per_row(k: int) -> tuple[MultiGraph, Divisor]:

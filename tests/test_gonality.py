@@ -16,6 +16,7 @@ from chiptree import (
     dgon_bruteforce,
     effective_divisors,
     has_positive_rank,
+    treewidth_bruteforce,
 )
 from chiptree import gonality
 from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
@@ -309,3 +310,12 @@ def test_witness_is_the_lex_first_positive_divisor():
         result = dgon_bruteforce(g, 4)
         assert (result and result.witness) == expected
     assert dgon_bruteforce(example_graph(), 3).witness.chips == (0, 0, 0, 0, 1, 0, 2)
+
+
+def test_treewidth_is_at_most_divisorial_gonality():
+    """tw(G) <= dgon(G), the paper's bound, on the 200 seeded random
+    multigraphs of the acceptance corpus (2 to 8 vertices)."""
+    rng = random.Random(20240824)
+    for _ in range(200):
+        g = random_connected_multigraph(rng, rng.randint(2, 8), max_mult=3)
+        assert treewidth_bruteforce(g) <= dgon_bruteforce(g, g.n).value, g.edge_list

@@ -75,6 +75,24 @@ def test_module_has_no_unused_import_and_no_assert(path):
     assert asserts == []
 
 
+@pytest.mark.parametrize("path", sorted((SRC / "chiptree").glob("*.py")), ids=lambda p: p.name)
+def test_only_the_cli_writes_to_the_terminal(path):
+    """Lint by AST: no module but ``cli.py`` names ``print`` or touches
+    ``sys.stdout`` or ``sys.stderr``, so the library stays silent and
+    reports only through what it returns and raises."""
+    if path.name == "cli.py":
+        return
+    tree = ast.parse(path.read_text())
+    streams = {"stdout", "stderr", "__stdout__", "__stderr__"}
+    writes = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "print"
+              or isinstance(node, ast.Attribute) and node.attr in streams
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"
+              or isinstance(node, ast.ImportFrom) and node.module == "sys"
+              and any(alias.name in streams for alias in node.names)]
+    assert writes == []
+
+
 def test_every_private_function_and_constant_is_read():
     """Lint by AST: each private module-level function and each UPPER_CASE
     module constant in the package is read somewhere in the package
