@@ -7,7 +7,7 @@ from typing import Iterator, Optional
 
 from .divisors import Divisor, _burn, _require_divisor
 from .errors import BudgetError, DomainError, InternalError
-from .graph import FrozenRecord, MultiGraph, _require_connected
+from .graph import FrozenRecord, MultiGraph, _require_connected, _require_int
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -148,6 +148,8 @@ def dgon_bruteforce(g: MultiGraph, max_degree: int,
     Degrees are tried in ascending order and within a degree the candidates
     in lexicographic chip-vector order, so the witness is deterministic.
     """
+    _require_int(max_degree, "max_degree")
+    _require_int(budget, "budget")
     if max_degree < 1:
         raise DomainError("max_degree must be positive")
     _require_connected(g)

@@ -233,6 +233,14 @@ def _require_connected(g: MultiGraph) -> None:
         raise DomainError("graph must be connected")
 
 
+def _require_int(value, name: str, least: Optional[int] = None) -> None:
+    """Raise ``DomainError`` unless value is an int (a bool is not), and at
+    least ``least`` if given: the check of a public count argument."""
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an int{bound}, got {value!r}")
+
+
 # -- bitmask kernels -------------------------------------------------------
 # A vertex set as an int with bit v for vertex v, as in ``neighbour_masks``.
 # Searcher sets, territories and bags are stored this way: an int costs
@@ -247,11 +255,6 @@ def _mask(vs: Iterable) -> int:
             return -1
         mask |= 1 << v
     return mask
-
-
-def _is_mask(m, n: Optional[int] = None) -> bool:
-    """True iff m masks a vertex set (of 0..n-1, if n is given)."""
-    return isinstance(m, int) and m >= 0 and (n is None or not m >> n)
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")

@@ -17,7 +17,7 @@ from .divisors import Divisor, _burn, _fire_unburnt, _require_vertices
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
 from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around,
-                    _components, _digits, _is_mask, _mask, _vertices)
+                    _components, _digits, _mask, _require_int, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
 SHRINK = "shrink"  # case (a), construction step II
@@ -47,29 +47,48 @@ class MssTree(FrozenRecord):
     ``nodes`` (``MssNode`` records) are read from them on each read.
     ``_built_for`` is the graph ``build_mss`` built the tree for, and None
     on every tree made any other way, copies and unpickled trees included.
+    The constructor checks the shape, which every reader relies on: the
+    columns are non-empty and of one length, each node but the root hangs
+    from one numbered before it, and each mask is an int >= 0, not a bool.
     """
 
     __slots__ = ("searchers", "xs", "territories", "parents", "_built_for")
 
     def __init__(self, searchers: int, xs: Iterable[int],
                  territories: Iterable[int], parents: Iterable[Optional[int]]):
-        put = object.__setattr__
-        put(self, "searchers", searchers)
-        put(self, "xs", tuple(xs))
-        put(self, "territories", tuple(territories))
-        put(self, "parents", tuple(parents))
-        put(self, "_built_for", None)
+        _require_int(searchers, "searchers", 0)
+        xs, territories, parents = tuple(xs), tuple(territories), tuple(parents)
+        lengths = [len(xs), len(territories), len(parents)]
+        if not xs or len(set(lengths)) > 1:
+            raise DomainError(f"columns have lengths {lengths}")
+        if parents[0] is not None:
+            raise DomainError(f"root has parent {parents[0]!r}")
+        for i, p in enumerate(parents[1:], 1):
+            if not (type(p) is int and 0 <= p < i):
+                raise DomainError(f"parent {p!r} is not a node numbered before {i}")
+        masks = xs + territories
+        if not all(type(m) is int for m in masks) or min(masks) < 0:
+            raise DomainError("a searcher or territory entry is not a vertex mask")
+        self._put(searchers, xs, territories, parents, None)
+
+    @classmethod
+    def _built(cls, g: MultiGraph, searchers: int, xs: list[int],
+               territories: list[int], parents: list[Optional[int]]) -> "MssTree":
+        """The tree ``build_mss`` made for g, unchecked: it has the shape."""
+        tree = cls.__new__(cls)
+        tree._put(searchers, tuple(xs), tuple(territories), tuple(parents), g)
+        return tree
+
+    def _put(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Each node's children, in ascending order."""
         kids: list[list[int]] = [[] for _ in self.parents]
-        for c, p in enumerate(self.parents):
-            try:  # kids[None] raises for a parent that is no earlier node
-                if c or p is not None:
-                    kids[p if 0 <= p < c else None].append(c)
-            except TypeError:
-                raise DomainError(f"parent {p!r} is not a node numbered before {c}") from None
+        for c, p in enumerate(self.parents[1:], 1):
+            kids[p].append(c)
         return tuple(map(tuple, kids))
 
     @property
@@ -90,28 +109,23 @@ class MssTree(FrozenRecord):
         positions = (Position(frozenset(x), frozenset(r)) for x, r in self._sets())
         return tuple(map(MssNode, positions, self.moves, self.parents, self.children))
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def max_searchers_used(self) -> int:
-        return max(map(int.bit_count, self.xs), default=0)
+        return max(map(int.bit_count, self.xs))
 
     def _sets(self, n: Optional[int] = None) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
         """Each node's X and R, read from their masks one node at a time,
         with one int object per vertex for the whole tree.  Raises
-        ``DomainError`` for an entry that masks no vertex set (of 0..n-1,
-        given n)."""
+        ``DomainError`` for an entry with a vertex at n or above, given n."""
         columns = (self.xs, self.territories)
-        if not all(_is_mask(m, n) for column in columns for m in column):
+        top = max(self.xs + self.territories)
+        if n is not None and top >> n:
             raise DomainError("a searcher or territory entry is not a vertex mask")
-        vertex = list(range(max(map(int.bit_length, self.xs + self.territories),
-                                default=0)))
+        vertex = list(range(top.bit_length()))
         return zip(*((compress(vertex, _digits(m)) for m in column)
                      for column in columns))
 
     def _labels(self, g: MultiGraph) -> Iterator[str]:
-        """Each node's "X | R" label; the masks are checked on the call."""
+        """Each node's "X | R" label; the mask bound is checked on the call."""
         return (f"{g.set_name(x)} | {g.set_name(r)}" for x, r in self._sets(g.n))
 
     def to_text(self, g: MultiGraph) -> str:
@@ -310,21 +324,20 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
             _fire_unburnt(adj, chips, room)
             pending.append((parent, tuple(chips), 1))
 
-    tree = MssTree(d.degree + 1, xs, rs, parents)
-    object.__setattr__(tree, "_built_for", g)
-    return tree
+    return MssTree._built(g, d.degree + 1, xs, rs, parents)
 
 
 def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
     """Check the defining clauses of a monotone search strategy.
 
-    Nodes are numbered parent first, as ``build_mss`` makes them: the
-    root's parent is None and every other node's is a node numbered
-    before it, so every node is reachable from the root.  Positions are
-    checked at the root and, for every other node, through the move that
-    made it (README).  Trailing shrink moves with empty territory are
-    accepted: the construction emits them after capture (golden trace).
+    The constructor has checked the shape: nodes are numbered parent
+    first, as ``build_mss`` makes them, so every node is reachable from
+    the root.  Positions are checked at the root and, for every other
+    node, through the move that made it (README).  Trailing shrink moves
+    with empty territory are accepted: the construction emits them after
+    capture (golden trace).
     """
+    _require_int(k, "k")
     violations: list[MssViolation] = []
 
     def bad(node, reason):
@@ -332,34 +345,14 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
 
     n = g.n
     nbr = g.neighbour_masks
-    xs, parents = tree.xs, tree.parents
-    size = len(xs)
-    if not size:
-        return MssReport(False, [MssViolation(None, "empty tree")])
-    lengths = [len(column) for column in (xs, tree.territories, parents)]
-    if len(set(lengths)) > 1:
-        return MssReport(False, [MssViolation(None, f"columns have lengths {lengths}")])
-
-    # the numbering comes first: ``children`` is read from the parents
-    if parents[0] is not None:
-        bad(0, f"root has parent {parents[0]!r}")
-    for i in range(1, size):
-        if not (isinstance(parents[i], int) and 0 <= parents[i] < i):
-            bad(i, f"parent {parents[i]!r} is not a node numbered before {i}")
-    if violations:
-        return MssReport(False, violations)
-
-    if xs[0] != 0 or tree.territories[0] != (1 << n) - 1:
+    xs, rs = tree.xs, tree.territories
+    if xs[0] != 0 or rs[0] != (1 << n) - 1:
         bad(0, "root is not (empty, V)")
-    if size > n * n + 1:
-        bad(None, f"tree has {size} nodes, above the n^2+1 bound")
-
-    # -1 where a column entry masks no vertex set of 0..n-1
-    xs = [x if _is_mask(x, n) else -1 for x in xs]
-    rs = [r if _is_mask(r, n) else -1 for r in tree.territories]
+    if len(xs) > n * n + 1:
+        bad(None, f"tree has {len(xs)} nodes, above the n^2+1 bound")
 
     for i, (x, r, kids) in enumerate(zip(xs, rs, tree.children)):
-        if x < 0 or r < 0:
+        if (x | r) >> n:
             bad(i, f"searchers or territory name a vertex outside 0..{n - 1}")
             continue
         if x.bit_count() > k:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _mask, _members,
-                    _require_connected, _vertices)
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _mask,
+                    _members, _require_connected, _require_int, _vertices)
 
 if TYPE_CHECKING:
     from .strategy import MssTree
@@ -200,7 +200,7 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
             raise DomainError(f"invalid search strategy: {report.first().reason}")
     kids_of, xs = tree.children, tree.xs
     order = []
-    stack = [tree.root]
+    stack = [0]
     while stack:
         i = stack.pop()
         order.append(i)
@@ -211,17 +211,16 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
     return TreeDecomposition._of_masks(masks, edges)
 
 
-def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
-                         budget: int = 10) -> Optional[int]:
+def treewidth_bruteforce(g: MultiGraph, budget: int = 10) -> int:
     """Exact treewidth of the underlying simple graph.
 
-    Hard-capped at ``budget`` vertices.  Returns None if the treewidth
-    exceeds ``max_width``.  The minor-min-width lower bound (Bodlaender and
-    Koster, "Treewidth computations II. Lower bounds", Inf. Comput. 2011)
-    and the width of the min-degree elimination order bound it from both
-    sides; where they meet that is the answer, and only otherwise does a
-    dynamic program over elimination prefixes decide.
+    Hard-capped at ``budget`` vertices.  The minor-min-width lower bound
+    (Bodlaender and Koster, "Treewidth computations II. Lower bounds", Inf.
+    Comput. 2011) and the width of the min-degree elimination order bound
+    it from both sides; where they meet that is the answer, and only
+    otherwise does a dynamic program over elimination prefixes decide.
     """
+    _require_int(budget, "budget")
     n = g.n
     if n > budget:
         raise BudgetError(f"treewidth oracle capped at n={budget}, got n={n}")
@@ -231,8 +230,6 @@ def treewidth_bruteforce(g: MultiGraph, max_width: Optional[int] = None,
     tw = _minor_min_width(nbr)
     if tw != max(map(int.bit_count, _eliminate(nbr)[1])):
         tw = _treewidth_dp(nbr)
-    if max_width is not None and tw > max_width:
-        return None
     return tw
 
 
@@ -304,11 +301,7 @@ def _treewidth_dp(nbr: list[int]) -> int:
         comp = frontier = 1 << v
         reach = 0
         while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= nbr[low.bit_length() - 1]
-                frontier ^= low
+            grown = _around(nbr, frontier)
             reach |= grown
             frontier = grown & eliminated & ~comp
             comp |= frontier

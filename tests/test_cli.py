@@ -42,6 +42,17 @@ def gr_path(tmp_path):
     return str(path)
 
 
+# the construction steps of the fixture's strategy, as ``--trace`` prints them
+GOLDEN_TRACE = (
+    "trace step III at (a | bcdefg) fire a from a:3\n"
+    "trace step I at (bc | defg)\n"
+    "trace step II at (bc | d)\n"
+    "trace step III at (bc | efg) fire ac from a:1 b:1 c:1\n"
+    "trace step III at (b | d) fire abcefg from a:1 b:1 c:1\n"
+    "trace step III at (bg | ef) fire abcdg from b:2 g:1\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -200,8 +211,14 @@ class TestMssAndTreedec:
         code, out, err = run(capsys, "mss", "--input", doc_path, "--trace",
                              "--format", "text")
         assert code == 0
-        assert "fire a from a:3" in err
+        assert err == GOLDEN_TRACE
         assert "fire" not in out
+
+    def test_treedec_trace_goes_to_stderr(self, capsys, doc_path):
+        code, out, err = run(capsys, "treedec", "--input", doc_path, "--trace")
+        assert code == 0
+        assert err == GOLDEN_TRACE
+        assert out.startswith("s td 14 4 7\n")
 
     def test_mss_rejects_rankless_divisor(self, capsys, doc_path):
         code, _, err = run(capsys, "mss", "--input", doc_path,

@@ -273,6 +273,11 @@ class TestLevelSetChain:
         with pytest.raises(DomainError):
             level_set_chain(FiringScript((0, 0)))
 
+    def test_unnormalized_script_rejected(self):
+        with pytest.raises(DomainError, match=r"^script must be normalized \(minimum "
+                                              r"entry 0\)$"):
+            level_set_chain(FiringScript((2, 1, 1)))
+
     def test_replay_through_fire_set(self):
         g = path3()
         d1, d2 = Divisor((1, 0, 0)), Divisor((0, 0, 1))

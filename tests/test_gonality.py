@@ -211,6 +211,20 @@ class TestEnumeration:
         with pytest.raises(BudgetError):
             dgon_bruteforce(cycle_graph(5), 4, budget=10)
 
+    def test_max_degree_must_be_positive(self):
+        with pytest.raises(DomainError, match="^max_degree must be positive$"):
+            dgon_bruteforce(cycle_graph(5), 0)
+
+    @pytest.mark.parametrize("max_degree, budget, message", [
+        (2.5, 100, "max_degree must be an int, got 2.5"),
+        (3, None, "budget must be an int, got None"),
+        (True, 100, "max_degree must be an int, got True"),
+    ], ids=["float-degree", "None-budget", "bool-degree"])
+    def test_counts_must_be_ints(self, max_degree, budget, message):
+        # a float degree or a None budget raised a raw TypeError
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            dgon_bruteforce(cycle_graph(5), max_degree, budget=budget)
+
     def test_budget_counts_exactly_when_the_product_completes(self):
         for n in range(1, 8):
             g = path_graph(n)

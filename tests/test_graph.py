@@ -26,6 +26,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             MultiGraph(2, [(0, 2)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphError, match="^vertex count must be nonnegative, got -1$"):
+            MultiGraph(-1, [])
+
+    def test_label_count_must_match_the_vertex_count(self):
+        with pytest.raises(GraphError, match="^label list length does not match "
+                                             "vertex count$"):
+            MultiGraph(2, [(0, 1)], labels=["a"])
+
     def test_parallel_edges_accumulate(self):
         g = MultiGraph(2, [(0, 1), (1, 0), (0, 1)])
         assert g.multiplicity(0, 1) == 3

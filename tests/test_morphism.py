@@ -61,6 +61,31 @@ class TestCheckMorphism:
         report = check_morphism(g, t, FiniteMorphism((0, 1, 2), f.edge_map, f.index))
         assert not report.ok
 
+    def test_edge_columns_length_mismatch(self):
+        g, t, f = c4_to_p3_morphism()
+        report = check_morphism(g, t, FiniteMorphism(f.vertex_map, f.edge_map, f.index[:3]))
+        assert report.violations == ["edge_map/index length does not match |E(G)|"]
+
+    @pytest.mark.parametrize("image", [3, -1, 1.0], ids=["past-the-end", "negative", "float"])
+    def test_vertex_mapped_outside_the_tree(self, image):
+        # a float image 1.0 passed as tree vertex 1, and then harmonic_certificate
+        # raised a raw TypeError from indexing the tree with it
+        g, t, f = c4_to_p3_morphism()
+        report = check_morphism(g, t, FiniteMorphism((0, 1, 2, image), f.edge_map, f.index))
+        assert report.violations[0] == "vertex 3 maps outside the tree"
+
+    @pytest.mark.parametrize("edge", [2, -1, 0.0], ids=["past-the-end", "negative", "float"])
+    def test_edge_mapped_to_an_unknown_tree_edge(self, edge):
+        g, t, f = c4_to_p3_morphism()
+        report = check_morphism(g, t, FiniteMorphism(f.vertex_map, (edge, 0, 1, 1), f.index))
+        assert report.violations == [f"edge 0 maps to unknown tree edge {edge}"]
+
+    @pytest.mark.parametrize("index", [1.0, float("nan"), True], ids=["float", "nan", "bool"])
+    def test_index_that_is_not_an_int(self, index):
+        g, t, f = c4_to_p3_morphism()
+        report = check_morphism(g, t, FiniteMorphism(f.vertex_map, f.edge_map, (1, index, 1, 1)))
+        assert report.violations == [f"edge 1 has index {index!r}, which is not an int"]
+
 
 class TestHarmonicCertificate:
     def test_fold_degree_two(self):
@@ -89,6 +114,14 @@ class TestHarmonicCertificate:
         assert cert is None
         assert any("unequal index sums" in v for v in report.violations)
 
+    def test_a_tree_edge_that_no_edge_of_a_vertex_maps_to_sums_zero(self):
+        # the edge 0-1 onto the first edge of a 3-vertex path: vertex 1 sits
+        # at the middle node, and none of its edges maps to the second edge
+        f = FiniteMorphism((0, 1), (0,), (1,))
+        cert, report = harmonic_certificate(path_graph(2), path_graph(3), f)
+        assert cert is None
+        assert report.violations == ["vertex 1: unequal index sums [0, 1] across tree edges"]
+
     def test_perturbed_fold_not_harmonic(self):
         g, t, f = c4_to_p3_morphism()
         bad = FiniteMorphism(f.vertex_map, f.edge_map, (2, 1, 1, 1))
@@ -102,11 +135,23 @@ class TestHarmonicCertificate:
                                                rng.randint(2, 4))
             cert, report = harmonic_certificate(g, t, f)
             assert report.ok, report.violations
-            assert cert.degree == sum(
-                cert.m[v] for v in range(g.n) if f.vertex_map[v] == 0)
+            # the degree is every vertex fiber's m-sum and every edge fiber's
+            # index sum
+            for w in range(t.n):
+                assert cert.degree == sum(
+                    cert.m[v] for v in range(g.n) if f.vertex_map[v] == w)
+            for e in range(t.num_edges):
+                assert cert.degree == sum(
+                    i for ti, i in zip(f.edge_map, f.index) if ti == e)
 
 
 class TestMorphismToTreedec:
+    def test_edgeless_graph_must_be_one_vertex(self):
+        f = FiniteMorphism((0, 0), (), ())
+        with pytest.raises(DomainError, match=r"^edgeless graph must be a single vertex "
+                                              r"\(connected\)$"):
+            morphism_to_treedec(MultiGraph(2, []), path_graph(1), f)
+
     def test_fold_exact_bags(self):
         g, t, f = c4_to_p3_morphism()
         td = morphism_to_treedec(g, t, f)

@@ -1,8 +1,10 @@
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,11 @@ class TestGoodFiringSet:
             fired = fire_set(g, d2, u)  # must not raise
             assert fired.is_effective
             checked += 1
+
+    def test_rejects_an_empty_territory(self, fixture_graph, fixture_divisor):
+        g = fixture_graph
+        with pytest.raises(DomainError, match="^territory flap must be nonempty$"):
+            good_firing_set(g, fixture_divisor, vset(g, "a"), frozenset())
 
     @pytest.mark.parametrize(
         "x, r", [("", "d"), ("a", "ad"), ("f", "b"), ("", "abcdefg")],
@@ -336,8 +343,8 @@ def leave_early(columns: dict, i: int, s: int) -> dict:
             "parents": [parent(j) for j in kept]}
 
 
-def corrupt(rng: random.Random, tree: MssTree, k: int, n: int) -> tuple[MssTree, int]:
-    """A copy of a tree and searcher count with one to three random edits:
+def corrupt(rng: random.Random, tree: MssTree, k: int, n: int) -> tuple[dict, int]:
+    """The columns of a tree and its searcher count with one to three random edits:
     a mask bit (bit n included), a whole mask, a parent, X and R swapped
     at a node, a searcher that leaves early, the last node dropped, or k
     one up or down.  A searcher s leaves early at node i when it is taken
@@ -368,14 +375,16 @@ def corrupt(rng: random.Random, tree: MssTree, k: int, n: int) -> tuple[MssTree,
                 column.pop()
         elif kind == "k":
             k += rng.choice([-1, 1])
-    return MssTree(tree.searchers, **columns), k
+    return columns, k
 
 
 def test_validate_mss_agrees_with_every_clause_at_every_node():
     """On corrupted trees from random multigraphs and the 4 x 4 and 6 x 6
     grids, ``validate_mss``, which checks positions at the root and
     through each move, passes exactly the trees that meet every clause at
-    every node (the oracle ``mss_ok_by_definition``)."""
+    every node (the oracle ``mss_ok_by_definition``).  Columns that the
+    constructor refuses count as invalid, and the oracle, reading the raw
+    columns, refuses them too."""
     rng = random.Random(4440)
     bases = [grid_with_a_chip_per_row(4), grid_with_a_chip_per_row(6)]
     while len(bases) < 200:
@@ -388,9 +397,14 @@ def test_validate_mss_agrees_with_every_clause_at_every_node():
     for g, d in bases:
         tree = build_mss(g, d)
         for _ in range(20 if g.n < 16 else 40):
-            bad, k = corrupt(rng, tree, d.degree + 1, g.n)
-            ok = mss_ok_by_definition(g, bad, k)
-            assert validate_mss(g, bad, k).ok == ok, (g.edge_list, bad, k)
+            columns, k = corrupt(rng, tree, d.degree + 1, g.n)
+            ok = mss_ok_by_definition(g, SimpleNamespace(**columns), k)
+            try:
+                bad = MssTree(tree.searchers, **columns)
+            except DomainError:
+                assert not ok, (g.edge_list, columns, k)
+            else:
+                assert validate_mss(g, bad, k).ok == ok, (g.edge_list, bad, k)
             verdicts.append(ok)
     assert len(verdicts) >= 2000 and sum(verdicts) >= 500
 
@@ -418,15 +432,17 @@ def test_validate_mss_searches_no_territory(monkeypatch):
 @pytest.mark.parametrize("read", ["children", "moves", "nodes", "to_text", "to_dot"])
 def test_readers_refuse_a_parent_that_is_no_earlier_node(fixture_graph, fixture_divisor,
                                                          read, parent):
-    """Every view of a tree whose node 1 hangs from 99, "0", -1 or None
-    raises ``DomainError`` with ``validate_mss``'s numbering wording, not
-    an ``IndexError``, a ``TypeError``, a self-loop or a second root."""
-    tree = edit_node(build_mss(fixture_graph, fixture_divisor), 1, parents=parent)
-    with pytest.raises(DomainError, match=f"parent {parent!r} is not a node numbered "
-                                          "before 1"):
-        value = getattr(tree, read)
+    """No view ever reads a tree whose node 1 hangs from 99, "0", -1 or
+    None: the constructor refuses it with ``DomainError``, before the view
+    is reached, where a view raised an ``IndexError`` or a ``TypeError``,
+    or showed a self-loop or a second root."""
+    tree = build_mss(fixture_graph, fixture_divisor)
+    with pytest.raises(DomainError, match=re.escape(f"parent {parent!r} is not a node "
+                                                    "numbered before 1")) as refused:
+        value = getattr(edit_node(tree, 1, parents=parent), read)
         if callable(value):
             value(fixture_graph)
+    assert refused.traceback[-1].name == "__init__"
 
 
 class TestValidateMss:
@@ -488,48 +504,49 @@ class TestValidateMss:
     @pytest.mark.parametrize("parent", [99, -1])
     def test_rejects_child_outside_the_tree(self, fixture_graph, fixture_divisor, parent):
         # node 1 hangs from a parent outside the tree
-        tree = edit_node(build_mss(fixture_graph, fixture_divisor), 1, parents=parent)
-        assert validate_mss(fixture_graph, tree, 4).violations == [
-            MssViolation(1, f"parent {parent} is not a node numbered before 1")]
-        with pytest.raises(DomainError, match="is not a node numbered before"):
-            mss_to_treedec(fixture_graph, tree)
+        tree = build_mss(fixture_graph, fixture_divisor)
+        with pytest.raises(DomainError, match=f"^parent {parent} is not a node numbered "
+                                              "before 1$"):
+            edit_node(tree, 1, parents=parent)
 
     @pytest.mark.parametrize("parent", [5], ids=["back-to-root"])
     def test_rejects_child_reached_twice(self, fixture_graph, fixture_divisor, parent):
         # the root reached again, as a child of node 5
-        tree = edit_node(build_mss(fixture_graph, fixture_divisor), 0, parents=parent)
-        assert validate_mss(fixture_graph, tree, 4).violations == [
-            MssViolation(0, f"root has parent {parent}")]
-        with pytest.raises(DomainError, match="invalid search strategy: root has parent"):
-            mss_to_treedec(fixture_graph, tree)
+        tree = build_mss(fixture_graph, fixture_divisor)
+        with pytest.raises(DomainError, match=f"^root has parent {parent}$"):
+            edit_node(tree, 0, parents=parent)
 
     def test_rejects_unreachable_node(self, fixture_graph, fixture_divisor):
         # nodes 12 and 13 name each other as parent, out of the root's reach
         tree = build_mss(fixture_graph, fixture_divisor)
         assert tree.parents[13] == 12
-        tree = edit_node(tree, 12, parents=13)
-        report = validate_mss(fixture_graph, tree, 4)
-        assert report.violations == [
-            MssViolation(12, "parent 13 is not a node numbered before 12")]
-        with pytest.raises(DomainError):
-            mss_to_treedec(fixture_graph, tree)
+        with pytest.raises(DomainError, match="^parent 13 is not a node numbered before 12$"):
+            edit_node(tree, 12, parents=13)
 
-    @pytest.mark.parametrize("node, parent, violations", [
+    @pytest.mark.parametrize("node, parent, refusal", [
         (5, 0, [(0, "split children must keep the same searchers"),
                 (3, "single child matches neither shrink nor grow")]),
-        (2, 9, [(2, "parent 9 is not a node numbered before 2")]),
-        (0, 3, [(0, "root has parent 3")]),
-        (3, "2", [(3, "parent '2' is not a node numbered before 3")]),
-        (3, 2.0, [(3, "parent 2.0 is not a node numbered before 3")]),
-    ], ids=["sibling", "outside", "root", "not-an-int", "float"])
+        (2, 9, "parent 9 is not a node numbered before 2"),
+        (0, 3, "root has parent 3"),
+        (3, "2", "parent '2' is not a node numbered before 3"),
+        (3, 2.0, "parent 2.0 is not a node numbered before 3"),
+        (2, True, "parent True is not a node numbered before 2"),
+    ], ids=["sibling", "outside", "root", "not-an-int", "float", "bool"])
     def test_rejects_wrong_parent_field(self, fixture_graph, fixture_divisor,
-                                        node, parent, violations):
-        # the numbering cases: the root has a parent, a parent numbered at
-        # or after its child, a parent that is not an int; re-parenting
-        # node 5 onto the root keeps the numbering but breaks two shapes
-        tree = edit_node(build_mss(fixture_graph, fixture_divisor), node, parents=parent)
+                                        node, parent, refusal):
+        # the numbering cases, which the constructor refuses: the root has a
+        # parent, a parent numbered at or after its child, a parent that is
+        # not an int (a bool included, though True == 1); re-parenting node
+        # 5 onto the root keeps the numbering but breaks two shapes, which
+        # ``validate_mss`` reports
+        tree = build_mss(fixture_graph, fixture_divisor)
+        if isinstance(refusal, str):
+            with pytest.raises(DomainError, match=f"^{re.escape(refusal)}$"):
+                edit_node(tree, node, parents=parent)
+            return
+        tree = edit_node(tree, node, parents=parent)
         assert validate_mss(fixture_graph, tree, 4).violations == \
-            [MssViolation(*v) for v in violations]
+            [MssViolation(*v) for v in refusal]
         with pytest.raises(DomainError, match="invalid search strategy"):
             mss_to_treedec(fixture_graph, tree)
 
@@ -541,13 +558,18 @@ def test_validate_mss_rejects_a_vertex_outside_the_graph(fixture_graph, fixture_
                                                          where, vertex):
     # searcher sets and territories are masks, so the cases are -1, a bit
     # at n, a label, 10**18 (an int above 2^n - 1; a mask with bit 10**18
-    # would not fit in memory) and a list of vertices.  A searcher "a" or
-    # a list used to raise TypeError, and so did the readers below, or
-    # they printed -1 as the vertices "ab"
+    # would not fit in memory) and a list of vertices.  The constructor
+    # refuses an entry that masks no vertex set; ``validate_mss``,
+    # ``to_text`` and ``to_dot``, which know n, refuse a vertex at n or above
     g = fixture_graph
     tree = build_mss(g, fixture_divisor)
     column = {"searchers": "xs", "territory": "territories"}[where]
     entry = getattr(tree, column)[3] | 1 << g.n if vertex == "n" else vertex
+    if vertex in (-1, "a", [1, 2]):
+        with pytest.raises(DomainError, match="^a searcher or territory entry is not "
+                                              "a vertex mask$"):
+            edit_node(tree, 3, **{column: entry})
+        return
     tree = edit_node(tree, 3, **{column: entry})
     report = validate_mss(g, tree, 4)
     assert MssViolation(3, "searchers or territory name a vertex outside 0..6") \
@@ -557,25 +579,53 @@ def test_validate_mss_rejects_a_vertex_outside_the_graph(fixture_graph, fixture_
     for read in (tree.to_text, tree.to_dot):
         with pytest.raises(DomainError, match="not a vertex mask"):
             read(g)
-    if vertex in (-1, "a", [1, 2]):
-        with pytest.raises(DomainError, match="not a vertex mask"):
-            tree.nodes
 
 
-def test_validate_mss_rejects_columns_of_different_lengths(fixture_graph, fixture_divisor):
+def test_constructor_refuses_columns_of_different_lengths(fixture_graph, fixture_divisor):
     tree = build_mss(fixture_graph, fixture_divisor)
-    tree = MssTree(tree.searchers, tree.xs, tree.territories[:-1], tree.parents)
-    assert validate_mss(fixture_graph, tree, 4).violations == [
-        MssViolation(None, "columns have lengths [14, 13, 14]")]
-    with pytest.raises(DomainError):
-        mss_to_treedec(fixture_graph, tree)
+    with pytest.raises(DomainError, match=r"^columns have lengths \[14, 13, 14\]$"):
+        MssTree(tree.searchers, tree.xs, tree.territories[:-1], tree.parents)
 
 
-def test_empty_tree_uses_no_searchers(fixture_graph):
-    tree = MssTree(0, (), (), ())
-    assert tree.max_searchers_used() == 0 and tree.nodes == ()
-    assert validate_mss(fixture_graph, tree, 0).violations == [
-        MssViolation(None, "empty tree")]
+def test_constructor_refuses_an_empty_tree():
+    with pytest.raises(DomainError, match=r"^columns have lengths \[0, 0, 0\]$"):
+        MssTree(0, (), (), ())
+
+
+@pytest.mark.parametrize("searchers, columns, message", [
+    ("4", {}, "searchers must be an int >= 0, got '4'"),
+    (None, {}, "searchers must be an int >= 0, got None"),
+    (-1, {}, "searchers must be an int >= 0, got -1"),
+    (True, {}, "searchers must be an int >= 0, got True"),
+    (4, {"xs": [True, 0]}, "a searcher or territory entry is not a vertex mask"),
+    (4, {"territories": [3, 2.0]}, "a searcher or territory entry is not a vertex mask"),
+], ids=["str", "None", "negative", "bool", "bool-mask", "float-mask"])
+def test_constructor_refuses_a_malformed_shape(searchers, columns, message):
+    """A searcher count or a mask of the wrong type, where a raw
+    ``TypeError`` came out of ``mss_to_treedec`` for a searcher count "4",
+    and a bool passed as the mask 1."""
+    columns = {"xs": [0, 1], "territories": [3, 2], "parents": [None, 0], **columns}
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        MssTree(searchers, **columns)
+
+
+def test_unpickling_checks_the_shape():
+    """A pickle goes through the constructor, so a malformed tree is
+    refused when it is loaded, as when it is built or copied."""
+    class Forged:
+        def __reduce__(self):
+            return MssTree, (2, (0, 1), (3, 2), (None, 1))
+
+    with pytest.raises(DomainError, match="^parent 1 is not a node numbered before 1$"):
+        pickle.loads(pickle.dumps(Forged()))
+
+
+@pytest.mark.parametrize("k", ["4", None, 4.0, True], ids=["str", "None", "float", "bool"])
+def test_validate_mss_refuses_a_searcher_count_that_is_not_an_int(fixture_graph,
+                                                                   fixture_divisor, k):
+    tree = build_mss(fixture_graph, fixture_divisor)
+    with pytest.raises(DomainError, match=f"^k must be an int, got {re.escape(repr(k))}$"):
+        validate_mss(fixture_graph, tree, k)
 
 
 def test_built_tree_memory_on_a_large_grid():

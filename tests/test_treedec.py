@@ -39,6 +39,11 @@ from conftest import (
 
 
 class TestValidate:
+    def test_no_bags(self):
+        report = validate_treedec(path_graph(2), TreeDecomposition([], []))
+        assert (report.ok, report.width, report.violations) == \
+            (False, -1, ["decomposition has no bags"])
+
     def test_single_bag(self):
         g = cycle_graph(4)
         td = TreeDecomposition([frozenset(range(4))], [])
@@ -320,15 +325,15 @@ class TestMssToTreedec:
 
     def test_rejects_broken_strategy(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
-        # the root has a parent, a parent numbered after its child, a parent
-        # that is not an int, and a search cut short after node 6
-        broken = [edit_node(tree, 0, parents=3), edit_node(tree, 2, parents=9),
-                  edit_node(tree, 3, parents="2"),
-                  MssTree(tree.searchers, tree.xs[:7], tree.territories[:7],
-                          tree.parents[:7])]
-        for tree in broken:
-            with pytest.raises(DomainError, match="invalid search strategy"):
-                mss_to_treedec(fixture_graph, tree)
+        # a search cut short after node 6; a tree whose root has a parent, a
+        # parent numbered after its child or a parent that is not an int
+        # cannot be built, so no decomposition is asked of it
+        cut = MssTree(tree.searchers, tree.xs[:7], tree.territories[:7], tree.parents[:7])
+        with pytest.raises(DomainError, match="^invalid search strategy: incomplete leaf"):
+            mss_to_treedec(fixture_graph, cut)
+        for node, parent in ((0, 3), (2, 9), (3, "2")):
+            with pytest.raises(DomainError, match="^root has parent|is not a node numbered"):
+                edit_node(tree, node, parents=parent)
 
     def test_width_bounded_by_degree_on_corpus(self):
         rng = random.Random(2718)
@@ -376,8 +381,17 @@ class TestTreewidthOracle:
         with pytest.raises(BudgetError):
             treewidth_bruteforce(path_graph(12))
 
-    def test_max_width_cutoff(self):
-        assert treewidth_bruteforce(cycle_graph(5), max_width=1) is None
+    def test_empty_graph_rejected(self):
+        with pytest.raises(DomainError, match="^treewidth of the empty graph is undefined$"):
+            treewidth_bruteforce(MultiGraph(0, []))
+
+    def test_budget_must_be_an_int(self):
+        # a raw TypeError from ``n > None`` before the check
+        with pytest.raises(DomainError, match="^budget must be an int, got None$"):
+            treewidth_bruteforce(path_graph(3), budget=None)
+
+    def test_cycle_has_width_two(self):
+        assert treewidth_bruteforce(cycle_graph(5)) == 2
 
     def test_lower_bounds_every_valid_decomposition(self):
         rng = random.Random(11)
@@ -401,9 +415,6 @@ def test_bitmask_oracle_matches_all_elimination_orders(g):
     simple.add_nodes_from(range(g.n))
     simple.add_edges_from(g.edge_multiplicities)
     assert tw <= treewidth_min_degree(simple)[0]
-    assert treewidth_bruteforce(g, max_width=tw) == tw
-    if tw > 0:
-        assert treewidth_bruteforce(g, max_width=tw - 1) is None
 
 
 class TestEliminationDecomposition:
@@ -484,6 +495,22 @@ class TestContractRefinement:
         )
         with pytest.raises(DomainError, match="subdivision vertex 2"):
             contract_refinement(banana, c4, td, rmap)
+
+    @pytest.mark.parametrize("rmap", [
+        RefinementMap({0: 0, 1: 1}, {}, {}),
+        RefinementMap({0: 0, 1: 1, 2: 1}, {2: (0, 1, 0, 0)}, {}),
+    ], ids=["unclassified", "twice"])
+    def test_map_that_does_not_classify_each_vertex_once_rejected(self, rmap):
+        # the edge 0-1 subdivided once: 0 - 2 - 1
+        refined = MultiGraph(3, [(0, 2), (2, 1)])
+        with pytest.raises(DomainError, match="^refinement map does not classify every "
+                                              "refined vertex exactly once$"):
+            rmap.check(path_graph(2), refined)
+
+    def test_original_vertices_must_biject(self):
+        rmap = RefinementMap({0: 0, 1: 0}, {}, {})
+        with pytest.raises(DomainError, match="^original vertices must biject with V\\(G\\)$"):
+            rmap.check(path_graph(2), path_graph(2))
 
     def test_graph_that_is_no_refinement_rejected(self):
         # the path 0-1-2 under the identity map lacks the triangle's edge
@@ -577,8 +604,6 @@ def test_oracle_runs_the_dp_where_the_bounds_differ(monkeypatch):
     calls = _counting_dp(monkeypatch)
     assert treewidth_bruteforce(g) == 4
     assert calls[0] == 1
-    assert treewidth_bruteforce(g, max_width=3) is None
-    assert calls[0] == 2
 
 
 def test_oracle_skips_the_dp_where_the_bounds_meet(monkeypatch, fixture_graph):
@@ -589,5 +614,4 @@ def test_oracle_skips_the_dp_where_the_bounds_meet(monkeypatch, fixture_graph):
     calls = _counting_dp(monkeypatch)
     assert treewidth_bruteforce(fixture_graph) == 2
     assert treewidth_bruteforce(grid) == 3
-    assert treewidth_bruteforce(grid, max_width=2) is None
     assert calls[0] == 0
