@@ -15,17 +15,36 @@ from .graph import FrozenRecord, MultiGraph, VertexSet, _require_connected
 
 
 class Divisor(FrozenRecord):
-    """Integer chip vector indexed by vertex."""
+    """Integer chip vector indexed by vertex; a chip count is an int, not a
+    bool, which the constructor checks."""
 
     __slots__ = ("chips",)
 
     def __init__(self, chips: Sequence[int]):
         # a copy, so that the caller's list cannot change the divisor
-        object.__setattr__(self, "chips", tuple(chips))
+        chips = tuple(chips)
+        for v, c in enumerate(chips):
+            if type(c) is not int:
+                raise DomainError(f"vertex {v} holds {c!r} chips, which is not an int")
+        object.__setattr__(self, "chips", chips)
+
+    @classmethod
+    def _of_chips(cls, chips: Sequence[int]) -> "Divisor":
+        """The divisor of int chips a kernel made, unchecked."""
+        d = cls.__new__(cls)
+        object.__setattr__(d, "chips", tuple(chips))
+        return d
 
     @staticmethod
     def of(chips: Iterable[int]) -> "Divisor":
-        return Divisor(int(c) for c in chips)
+        """The divisor of ``int(c)`` for each chip count c."""
+        counts = []
+        for c in chips:
+            try:
+                counts.append(int(c))
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"chip count {c!r} does not convert to an int") from None
+        return Divisor._of_chips(counts)
 
     @staticmethod
     def zero(n: int) -> "Divisor":
@@ -98,7 +117,7 @@ def _require_divisor(g: MultiGraph, d: Divisor) -> None:
 
 def _require_vertices(g: MultiGraph, vs: Iterable[int], what: str = "vertex") -> None:
     for v in vs:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not (type(v) is int and 0 <= v < g.n):
             raise DomainError(f"{what} {v} is not a vertex in 0..{g.n - 1}")
 
 
@@ -123,7 +142,7 @@ def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
         room[v] = d[v] - out
     chips = list(d.chips)
     _fire_unburnt(g._adj, chips, room)
-    return Divisor(chips)
+    return Divisor._of_chips(chips)
 
 
 def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
@@ -169,7 +188,7 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     chips = list(d.chips)
     x = [0] * g.n
     _reduce(g._adj, chips, q, x)
-    return Divisor(chips), FiringScript(tuple(x))
+    return Divisor._of_chips(chips), FiringScript(tuple(x))
 
 
 # -- unchecked kernels ---------------------------------------------------------

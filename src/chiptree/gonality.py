@@ -104,12 +104,19 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
 
 
 def effective_divisors(n: int, degree: int) -> Iterator[Divisor]:
-    """All effective divisors of the given degree, in descending lex chip order."""
+    """All effective divisors of the given degree, in descending lex chip
+    order; n and degree are checked on the call."""
+    _require_int(n, "n", 0)
+    _require_int(degree, "degree", 0)
+    return map(Divisor._of_chips, _slot_counts(n, degree))
+
+
+def _slot_counts(n: int, degree: int) -> Iterator[list[int]]:
     for slots in combinations_with_replacement(range(n), degree):
         chips = [0] * n
         for v in slots:
             chips[v] += 1
-        yield Divisor(chips)
+        yield chips
 
 
 def _lex_ascending(n: int, degree: int) -> Iterator[Divisor]:
@@ -125,7 +132,7 @@ def _lex_ascending(n: int, degree: int) -> Iterator[Divisor]:
     chips = [0] * n
     chips[-1] = degree
     while True:
-        yield Divisor(chips)
+        yield Divisor._of_chips(chips)
         if chips[-1] and n > 1:
             chips[-1] -= 1
             chips[-2] += 1

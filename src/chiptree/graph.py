@@ -65,6 +65,11 @@ class FrozenRecord(Record):
 
     __delattr__ = __setattr__
 
+    def _put(self, *values) -> None:
+        """Set the slots in order, unchecked: the constructors' last step."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def __hash__(self):
         return hash(self._values())
 
@@ -78,12 +83,15 @@ class MultiGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[Sequence[str]] = None):
-        if n < 0:
-            raise GraphError(f"vertex count must be nonnegative, got {n}")
+        if type(n) is not int or n < 0:
+            raise GraphError(f"vertex count must be an int >= 0, got {n!r}")
         self.n = n
         mult: dict[tuple[int, int], int] = {}
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        for edge in edges:
+            if type(edge) not in (tuple, list) or len(edge) != 2:
+                raise GraphError(f"edge {edge!r} is not a pair of vertices")
+            u, v = edge
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise GraphError(f"loop at vertex {u} is not allowed")
@@ -248,10 +256,10 @@ def _require_int(value, name: str, least: Optional[int] = None) -> None:
 
 def _mask(vs: Iterable) -> int:
     """Bit v for each v in vs; -1, which masks no vertex set, if vs names
-    anything but an int v >= 0."""
+    anything but an int v >= 0 (a bool is not one)."""
     mask = 0
     for v in vs:
-        if not (isinstance(v, int) and v >= 0):
+        if not (type(v) is int and v >= 0):
             return -1
         mask |= 1 << v
     return mask

@@ -79,10 +79,6 @@ class MssTree(FrozenRecord):
         tree._put(searchers, tuple(xs), tuple(territories), tuple(parents), g)
         return tree
 
-    def _put(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     @property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Each node's children, in ascending order."""
@@ -186,7 +182,7 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
         raise DomainError("divisor has chips on the territory")
     chips = list(d.chips)
     u, _ = _good_firing_set(g._adj, chips, xm, rm)
-    return Divisor(chips), _vertices(u)
+    return Divisor._of_chips(chips), _vertices(u)
 
 
 def _good_firing_set(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
@@ -304,7 +300,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
         u, room = _good_firing_set(adj, chips, x, r)
         if trace is not None:
             trace.append(("III", Position(_vertices(x), _vertices(r)),
-                          (Divisor(chips), _vertices(u))))
+                          (Divisor._of_chips(chips), _vertices(u))))
         # each mover s, in ascending order, first grows X onto its
         # neighbours in the territory left, then leaves; a grow that adds
         # no vertex is no move

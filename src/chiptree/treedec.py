@@ -13,31 +13,41 @@ if TYPE_CHECKING:
     from .strategy import MssTree
 
 
-class TreeDecomposition(Record):
+class TreeDecomposition(FrozenRecord):
     """Bags indexed 0..b-1 plus the undirected tree edges between them.
 
-    ``masks`` holds one bitmask per bag (bit v for vertex v), the
-    decomposition's only storage of its bags; ``bags`` shows them as
-    frozensets, built on each read.  The constructor takes each bag as a
-    collection of vertices, ints v >= 0.
+    ``masks`` holds one bitmask per bag (bit v for vertex v), the only
+    storage of the bags; ``bags`` shows them as frozensets on each read.
+    The fields are tuples.  The constructor checks the shape: each bag a
+    collection of ints v >= 0, each tree edge a pair of ints naming bags
+    in 0..b-1, and no bool; the builders' unchecked ``_of_masks`` has it.
     """
 
     __slots__ = ("masks", "tree_edges")
 
-    def __init__(self, bags: Iterable[Iterable[int]], tree_edges: list[tuple[int, int]]):
-        masks = list(map(_mask, bags))
+    def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
+        masks = tuple(map(_mask, bags))
         if min(masks, default=0) < 0:
             raise DomainError(f"bag {masks.index(-1)} holds a member that is not an int >= 0")
-        self.masks, self.tree_edges = masks, tree_edges
+        edges, b = [], len(masks)
+        for edge in tree_edges:
+            i, j = edge if type(edge) in (tuple, list) and len(edge) == 2 else (None, None)
+            if not type(i) is type(j) is int:
+                raise DomainError(f"tree edge {edge!r} is not a pair of ints")
+            if not (0 <= i < b and 0 <= j < b):
+                raise DomainError(f"tree edge ({i},{j}) names a bag outside 0..{b - 1}")
+            edges.append((i, j))
+        self._put(masks, tuple(edges))
 
     @classmethod
-    def _of_masks(cls, masks: list[int], tree_edges: list[tuple[int, int]]):
+    def _of_masks(cls, masks: Iterable[int], tree_edges: Iterable[tuple[int, int]]):
         td = cls.__new__(cls)
-        td.masks, td.tree_edges = masks, tree_edges
+        object.__setattr__(td, "masks", tuple(masks))
+        object.__setattr__(td, "tree_edges", tuple(tree_edges))
         return td
 
     def __reduce__(self):
-        return TreeDecomposition._of_masks, (self.masks, self.tree_edges)
+        return TreeDecomposition, (self.bags, self.tree_edges)
 
     @property
     def bags(self) -> list[VertexSet]:
@@ -46,13 +56,6 @@ class TreeDecomposition(Record):
     @property
     def width(self) -> int:
         return max(map(int.bit_count, self.masks), default=0) - 1
-
-    def neighbors(self) -> list[list[int]]:
-        adj = [[] for _ in self.masks]
-        for i, j in self.tree_edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
     def to_dot(self, g: Optional[MultiGraph] = None) -> str:
         lines = ["graph treedec {", "  node [shape=box];"]
@@ -85,11 +88,10 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     b = len(masks)
     if b == 0:
         return TdReport(False, -1, ["decomposition has no bags"])
-    outside = [f"tree edge ({i},{j}) names a bag outside 0..{b - 1}"
-               for i, j in edges if not (0 <= i < b and 0 <= j < b)]
-    if outside:
-        return TdReport(False, td.width, outside)
-    adj = td.neighbors()
+    adj = [[] for _ in masks]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
     if len(edges) != b - 1:
         shape = f"{len(edges)} tree edges on {b} bags is not a tree"
     else:
@@ -199,8 +201,7 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
         if not report.ok:
             raise DomainError(f"invalid search strategy: {report.first().reason}")
     kids_of, xs = tree.children, tree.xs
-    order = []
-    stack = [0]
+    order, stack = [], [0]
     while stack:
         i = stack.pop()
         order.append(i)
@@ -338,12 +339,11 @@ def treedec_by_elimination(g: MultiGraph,
     n = g.n
     if order is not None:
         order = list(order)
-        if sorted(order) != list(range(n)):
+        if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
             raise DomainError("elimination order must be a permutation of V")
     order, later = _eliminate(g.neighbour_masks, order)
     pos = {v: i for i, v in enumerate(order)}
-    masks: list[int] = []
-    edges: list[tuple[int, int]] = []
+    masks, edges = [], []
     for i, (v, mask) in enumerate(zip(order, later)):
         masks.append(mask | 1 << v)
         if mask:
@@ -455,4 +455,4 @@ def _contract(td: TreeDecomposition, rmap: RefinementMap) -> TreeDecomposition:
     for bag in td.masks:
         images = map(rmap.collapse, _members(bag))
         masks.append(_mask(c for c in images if c is not None))
-    return TreeDecomposition._of_masks(masks, list(td.tree_edges))
+    return TreeDecomposition._of_masks(masks, td.tree_edges)

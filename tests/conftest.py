@@ -75,12 +75,12 @@ def mss_ok_by_definition(g: MultiGraph, tree: MssTree, k: int) -> bool:
     size = len(xs)
     if not size or len(rs) != size or len(parents) != size or size > g.n * g.n + 1:
         return False
-    if parents[0] is not None or not all(isinstance(p, int) and 0 <= p < i
+    if parents[0] is not None or not all(type(p) is int and 0 <= p < i
                                          for i, p in enumerate(parents) if i):
         return False
 
     def members(m):
-        if not isinstance(m, int) or m < 0 or m >= 1 << g.n:
+        if type(m) is not int or m < 0 or m >= 1 << g.n:
             return None
         return frozenset(v for v in range(g.n) if m >> v & 1)
 

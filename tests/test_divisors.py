@@ -63,6 +63,17 @@ class TestDegreeAndSupport:
         assert has_positive_rank(g, d)
         assert not has_positive_rank(g, Divisor(chips))
 
+    @pytest.mark.parametrize("chip", [1.5, 2.0, "1", True, None])
+    def test_chip_that_is_no_int_rejected(self, chip):
+        with pytest.raises(DomainError, match=r"^vertex 0 holds .* chips, which is not an int$"):
+            Divisor((chip, 0, 0))
+
+    def test_of_converts_with_int(self):
+        assert Divisor.of([1.5, "2", True]) == Divisor((1, 2, 1))
+        for chips in (["x"], [None], [float("nan")], [float("inf")]):
+            with pytest.raises(DomainError, match="^chip count .* does not convert to an int$"):
+                Divisor.of(chips)
+
     def test_fixture_divisors(self, fixture_graph, fixture_divisor):
         assert fixture_divisor.degree == 3
         abc = named(fixture_graph, {"a": 1, "b": 1, "c": 1})
@@ -411,3 +422,10 @@ def test_vertex_arguments_outside_the_graph_are_rejected(call, vertex):
     # a negative index would silently wrap to the last vertex
     with pytest.raises(DomainError):
         call(path3(), Divisor((1, 0, 1)), vertex)
+
+
+@pytest.mark.parametrize("call", ["dhar", "is_q_reduced", "q_reduce", "fire_set", "is_fireable"])
+def test_a_bool_is_not_a_vertex(call):
+    # True would stand for vertex 1
+    with pytest.raises(DomainError, match=r"^(q|vertex) True is not a vertex in 0\.\.2$"):
+        VERTEX_ARGUMENT_CALLS[call](path3(), Divisor((1, 0, 1)), True)

@@ -81,7 +81,7 @@ class TestTd:
     def test_parse_simple(self):
         td = parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
         assert td.bags == [frozenset({0, 1}), frozenset({1, 2})]
-        assert td.tree_edges == [(0, 1)]
+        assert td.tree_edges == ((0, 1),)
 
     def test_empty_bag_allowed(self):
         td = parse_td("s td 1 0 2\nb 1\n")

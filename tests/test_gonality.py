@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -206,6 +207,17 @@ class TestEnumeration:
     def test_counts(self):
         assert len(list(effective_divisors(3, 2))) == 6
         assert all(d.degree == 2 for d in effective_divisors(3, 2))
+
+    @pytest.mark.parametrize("n, degree, message", [
+        (3, 2.5, "degree must be an int >= 0, got 2.5"),
+        (3, -1, "degree must be an int >= 0, got -1"),
+        (3, True, "degree must be an int >= 0, got True"),
+        (-1, 2, "n must be an int >= 0, got -1"),
+        ("3", 2, "n must be an int >= 0, got '3'"),
+    ])
+    def test_counts_are_checked_on_the_call(self, n, degree, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            effective_divisors(n, degree)
 
     def test_budget(self):
         with pytest.raises(BudgetError):

@@ -27,8 +27,23 @@ class TestConstruction:
             MultiGraph(2, [(0, 2)])
 
     def test_negative_vertex_count_rejected(self):
-        with pytest.raises(GraphError, match="^vertex count must be nonnegative, got -1$"):
+        with pytest.raises(GraphError, match="^vertex count must be an int >= 0, got -1$"):
             MultiGraph(-1, [])
+
+    @pytest.mark.parametrize("n", [2.5, True, "2", None])
+    def test_vertex_count_that_is_no_int_rejected(self, n):
+        with pytest.raises(GraphError, match=r"^vertex count must be an int >= 0, got "):
+            MultiGraph(n, [])
+
+    @pytest.mark.parametrize("edge", [(0.0, 1), (True, 0), ("0", 1), (0, None)])
+    def test_endpoint_that_is_no_int_rejected(self, edge):
+        with pytest.raises(GraphError, match=r"outside vertex range 0\.\.1$"):
+            MultiGraph(2, [edge])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 1), (0,), 0, None, {0, 1}])
+    def test_edge_that_is_no_pair_rejected(self, edge):
+        with pytest.raises(GraphError, match=r"is not a pair of vertices$"):
+            MultiGraph(2, [edge])
 
     def test_label_count_must_match_the_vertex_count(self):
         with pytest.raises(GraphError, match="^label list length does not match "

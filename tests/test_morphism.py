@@ -161,7 +161,7 @@ class TestMorphismToTreedec:
             frozenset({0, 1}), frozenset({0, 1, 3}),
             frozenset({1, 2, 3}), frozenset({2, 3}),
         ]
-        assert td.tree_edges == [(0, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 2)]
+        assert td.tree_edges == ((0, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 2))
         report = validate_treedec(g, td)
         assert report.ok, report.violations
         assert report.width == 2

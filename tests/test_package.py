@@ -10,11 +10,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chiptree
-from chiptree import Divisor, FiniteMorphism, Position, build_mss, mss_to_treedec
+from chiptree import (ChipTreeError, Divisor, FiniteMorphism, MultiGraph, Position,
+                      TreeDecomposition, build_mss, effective_divisors, has_positive_rank,
+                      mss_to_treedec, q_reduce, treedec_by_elimination, validate_treedec)
 from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph
 from chiptree.formats import parse_gr, write_document, write_gr, write_morphism, write_td
+from chiptree.strategy import MssTree
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -151,10 +156,97 @@ class TestRecords:
     def test_mutable_records_are_unhashable_and_copy(self):
         g, d = example_graph(), example_divisor()
         td = mss_to_treedec(g, build_mss(g, d))
+        report = validate_treedec(g, td)
         with pytest.raises(TypeError):
-            hash(td)
-        assert copy.deepcopy(td) == td
+            hash(report)
+        assert copy.deepcopy(report) == report
         assert pickle.loads(pickle.dumps(d)) == d
+        # a decomposition is frozen, so it hashes by its tuples
+        assert hash(copy.deepcopy(td)) == hash(td)
+
+
+# -- malformed values ----------------------------------------------------------
+
+PATH3 = MultiGraph(3, [(0, 1), (1, 2)])
+BAGS = [{0, 1}, {1, 2}]
+
+# one malformed value each, refused with a ChipTreeError where it enters
+PROBES = {
+    "edge (0.0, 1)": lambda: write_td(TreeDecomposition(BAGS, [(0.0, 1)]), 3),
+    "edge ('0', 1)": lambda: validate_treedec(PATH3, TreeDecomposition(BAGS, [("0", 1)])),
+    "edge 0": lambda: TreeDecomposition(BAGS, [0]).to_dot(),
+    "edge (0, 1, 2)": lambda: validate_treedec(PATH3, TreeDecomposition(BAGS, [(0, 1, 2)])),
+    "edge (True, 0)": lambda: validate_treedec(PATH3, TreeDecomposition(BAGS, [(True, 0)])),
+    "bag {True, 0}": lambda: TreeDecomposition([{True, 0}, {1, 2}], [(0, 1)]),
+    "count 2.5": lambda: MultiGraph(2.5, []),
+    "endpoint 0.0": lambda: MultiGraph(2, [(0.0, 1)]),
+    "count True": lambda: MultiGraph(True, []),
+    "degree 2.5": lambda: effective_divisors(3, 2.5),
+    "degree -1": lambda: effective_divisors(3, -1),
+    "order 0.0": lambda: treedec_by_elimination(PATH3, [0.0, 1, 2]),
+    "chip 1.5": lambda: has_positive_rank(PATH3, Divisor((1.5, 0, 0))),
+    "chip 2.0": lambda: build_mss(PATH3, Divisor((2.0, 0, 0))),
+    "chip 1.5, q_reduce": lambda: q_reduce(PATH3, Divisor((1.5, 0, 0)), 0),
+    "chip '1'": lambda: has_positive_rank(PATH3, Divisor(("1", 0, 0))),
+    "chip True": lambda: Divisor((True, 0, 0)),
+    "Divisor.of x": lambda: Divisor.of(["x"]),
+    "searchers '4'": lambda: MssTree("4", [0], [7], [None]),
+    "parent True": lambda: MssTree(2, [0, 1, 1], [7, 6, 4], [None, 0, True]),
+}
+
+JUNK = st.one_of(st.integers(-2, 4), st.floats(), st.booleans(), st.text(max_size=2),
+                 st.none())
+PAIRS = st.one_of(st.tuples(JUNK, JUNK), st.lists(JUNK, max_size=3), JUNK)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_malformed_probe_raises_a_typed_error(probe):
+    with pytest.raises(ChipTreeError):
+        PROBES[probe]()
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=JUNK, chips=st.lists(JUNK, min_size=3, max_size=3), q=JUNK,
+       edges=st.lists(PAIRS, max_size=3), members=st.lists(JUNK, max_size=3),
+       order=st.lists(JUNK, min_size=3, max_size=3))
+def test_record_constructors_and_readers_raise_only_typed_errors(count, chips, q, edges,
+                                                                 members, order):
+    """Malformed counts, chips, vertices, bag members and tree edges reach
+    the record constructors and the operations that read those records;
+    every refusal is a ``ChipTreeError``."""
+    g = PATH3
+    calls = [
+        lambda: MultiGraph(count, []),
+        lambda: MultiGraph(3, edges),
+        lambda: effective_divisors(count, 2),
+        lambda: effective_divisors(3, count),
+        lambda: treedec_by_elimination(g, order),
+        lambda: MssTree(count, [0], [7], [None]),
+        lambda: MssTree(2, [0, members[0] if members else 1], [7, 6], [None, count]),
+    ]
+    for call in calls:
+        try:
+            call()
+        except ChipTreeError:
+            pass
+    try:
+        d = Divisor(chips)
+    except ChipTreeError:
+        d = Divisor((1, 0, 0))
+    for call in (lambda: has_positive_rank(g, d), lambda: build_mss(g, d),
+                 lambda: q_reduce(g, d, q)):
+        try:
+            call()
+        except ChipTreeError:
+            pass
+    try:
+        td = TreeDecomposition([members, *BAGS], edges)
+    except ChipTreeError:
+        return
+    validate_treedec(g, td)
+    write_td(td, g.n)
+    td.to_dot(g)
+    td.to_dot()
 
 
 # -- what each CLI call loads ---------------------------------------------------

@@ -119,14 +119,6 @@ class TestValidate:
             "condition 2: edge (2,3) in no bag",
             "condition 3 at vertex 0",
         ]
-        # a tree edge naming no bag is reported before the tree is walked;
-        # -1 must not wrap around to the last bag
-        g = MultiGraph(2, [(0, 1)])
-        for i, j in [(0, 5), (0, -1)]:
-            td = TreeDecomposition([frozenset({0, 1}), frozenset({1})], [(i, j)])
-            assert validate_treedec(g, td).violations == [
-                f"tree edge ({i},{j}) names a bag outside 0..1"
-            ]
 
     def test_member_far_above_n_is_named_in_little_memory(self):
         # naming it through bin() of the bags' union held a 10^8-digit
@@ -205,14 +197,47 @@ def test_bags_are_masks():
     """A decomposition stores one mask per bag; ``bags`` is a view built
     on each read, and pickle keeps the masks."""
     td = TreeDecomposition([{0, 2}, frozenset(), [1, 1]], [(0, 1), (1, 2)])
-    assert td.masks == [0b101, 0, 0b10] and td.width == 1
+    assert td.masks == (0b101, 0, 0b10) and td.width == 1
     assert td.bags == [frozenset({0, 2}), frozenset(), frozenset({1})]
     assert td.bags is not td.bags
     for copied in (pickle.loads(pickle.dumps(td)), copy.deepcopy(td)):
         assert copied == td and copied.masks == td.masks
-    for member in (-1, "a", 1.0, None):
+    for member in (-1, "a", 1.0, None, True):
         with pytest.raises(DomainError, match="bag 1 holds"):
             TreeDecomposition([{0}, [1, member]], [(0, 1)])
+
+
+def test_constructor_refuses_an_edge_outside_the_bags():
+    # -1 must not wrap around to the last bag
+    for i, j in [(0, 5), (0, -1)]:
+        with pytest.raises(DomainError,
+                           match=rf"^tree edge \({i},{j}\) names a bag outside 0\.\.1$"):
+            TreeDecomposition([frozenset({0, 1}), frozenset({1})], [(i, j)])
+
+
+def test_constructor_refuses_an_edge_that_is_not_a_pair_of_ints():
+    bags = [{0, 1}, {1, 2}]
+    for edge in [(0.0, 1), ("0", 1), 0, (0, 1, 2), (True, 0), (0,), None, "01"]:
+        with pytest.raises(DomainError, match=r"^tree edge .* is not a pair of ints$"):
+            TreeDecomposition(bags, [edge])
+    # a list pair is taken, and stored as a tuple
+    td = TreeDecomposition(bags, [[0, 1]])
+    assert td.tree_edges == ((0, 1),) and type(td.tree_edges[0]) is tuple
+
+
+def test_decomposition_is_frozen_and_its_copies_are_checked():
+    td = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
+    for name in ("masks", "tree_edges"):
+        with pytest.raises(AttributeError):
+            setattr(td, name, ())
+    with pytest.raises(AttributeError):
+        td.tree_edges.append(("x", 1))
+    assert hash(td) == hash(TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)]))
+    # a decomposition made around the constructor is refused when copied
+    forged = TreeDecomposition._of_masks([0b11, 0b110], [(0, 2)])
+    for clone in (copy.copy, copy.deepcopy, lambda td: pickle.loads(pickle.dumps(td))):
+        with pytest.raises(DomainError, match="names a bag outside"):
+            clone(forged)
 
 
 class TestTrustedStrategy:
@@ -314,7 +339,7 @@ class TestMssToTreedec:
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (3, 8), (4, 5), (5, 6), (6, 7),
                  (8, 9), (9, 10), (10, 11), (11, 12), (12, 13)]
         assert [g.set_name(bag) for bag in td.bags] == labels
-        assert td.tree_edges == edges
+        assert td.tree_edges == tuple(edges)
         assert td.to_dot(g) == "".join(
             ["graph treedec {\n  node [shape=box];\n"]
             + [f'  b{i} [label="{label}"];\n' for i, label in enumerate(labels)]
@@ -426,6 +451,12 @@ class TestEliminationDecomposition:
     def test_bad_order_rejected(self):
         with pytest.raises(DomainError):
             treedec_by_elimination(path_graph(3), order=[0, 0, 1])
+
+    @pytest.mark.parametrize("order", [[0.0, 1, 2], [True, 0, 2], ["0", 1, 2], [None, 1, 2]])
+    def test_order_of_non_ints_rejected(self, order):
+        # 0.0 sorts and compares equal to 0; "0" does not sort among ints
+        with pytest.raises(DomainError, match="^elimination order must be a permutation of V$"):
+            treedec_by_elimination(path_graph(3), order=order)
 
 
 class TestContractRefinement:
