@@ -145,7 +145,7 @@ def cmd_treedec(args) -> int:
 
 
 def cmd_morphism_td(args) -> int:
-    from .morphism import stable_treedec
+    from .morphism import morphism_to_treedec, stable_treedec
     from .treedec import RefinementMap
     if args.refinement and not args.original:
         raise DomainError("--refinement needs --original")
@@ -156,10 +156,10 @@ def cmd_morphism_td(args) -> int:
         g_original, _ = formats.parse_graph_auto(_read(args.original))
         rmap = formats.parse_refinement_map(_read(args.refinement)) \
             if args.refinement else RefinementMap.identity(g_original.n)
+        td = stable_treedec(g_original, g_refined, rmap, t, f)
     else:
-        g_original = g_refined
-        rmap = RefinementMap.identity(g_refined.n)
-    _emit_td(args, stable_treedec(g_original, g_refined, rmap, t, f), g_original)
+        g_original, td = g_refined, morphism_to_treedec(g_refined, t, f)
+    _emit_td(args, td, g_original)
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
-from .graph import FrozenRecord, MultiGraph, VertexSet, _require_connected
+from .graph import (FrozenRecord, MultiGraph, VertexSet, _collection, _int_tuple,
+                    _require_connected, _require_int)
 
 
 class Divisor(FrozenRecord):
@@ -22,7 +23,7 @@ class Divisor(FrozenRecord):
 
     def __init__(self, chips: Sequence[int]):
         # a copy, so that the caller's list cannot change the divisor
-        chips = tuple(chips)
+        chips = _collection(chips, "chips")
         for v, c in enumerate(chips):
             if type(c) is not int:
                 raise DomainError(f"vertex {v} holds {c!r} chips, which is not an int")
@@ -48,10 +49,14 @@ class Divisor(FrozenRecord):
 
     @staticmethod
     def zero(n: int) -> "Divisor":
-        return Divisor((0,) * n)
+        _require_int(n, "n", 0)
+        return Divisor._of_chips((0,) * n)
 
     @staticmethod
     def single(n: int, v: int, amount: int = 1) -> "Divisor":
+        _require_int(n, "n", 0)
+        if not (type(v) is int and 0 <= v < n):
+            raise DomainError(f"vertex {v!r} is not a vertex in 0..{n - 1}")
         chips = [0] * n
         chips[v] = amount
         return Divisor(chips)
@@ -81,15 +86,33 @@ class Divisor(FrozenRecord):
 
 
 class FiringScript(FrozenRecord):
-    """Normalized firing counts: nonnegative, zero on at least one vertex."""
+    """Normalized firing counts: a non-empty tuple of ints (no bool),
+    nonnegative and zero on at least one vertex, which the constructor
+    checks."""
 
     __slots__ = ("x",)
 
+    def __init__(self, x: Iterable[int]):
+        x = _int_tuple(x, "script")
+        if min(x, default=None) != 0:
+            raise DomainError("script must be normalized (minimum entry 0)")
+        object.__setattr__(self, "x", x)
+
+    @classmethod
+    def _of_counts(cls, x: Iterable[int]) -> "FiringScript":
+        """The normalized script of int counts a kernel made, unchecked."""
+        script = cls.__new__(cls)
+        object.__setattr__(script, "x", tuple(x))
+        return script
+
     @staticmethod
     def normalized(values: Iterable[int]) -> "FiringScript":
-        vals = [int(v) for v in values]
+        """The script of the ints in values, each less their minimum."""
+        vals = _int_tuple(values, "script")
+        if not vals:
+            raise DomainError("script must be nonempty")
         lo = min(vals)
-        return FiringScript(tuple(v - lo for v in vals))
+        return FiringScript._of_counts(v - lo for v in vals)
 
     def __len__(self):
         return len(self.x)
@@ -156,7 +179,7 @@ def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
         diff = x[u] - x[v]
         chips[u] -= m * diff
         chips[v] += m * diff
-    return Divisor(chips)
+    return Divisor._of_chips(chips)
 
 
 def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
@@ -188,7 +211,8 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     chips = list(d.chips)
     x = [0] * g.n
     _reduce(g._adj, chips, q, x)
-    return Divisor._of_chips(chips), FiringScript(tuple(x))
+    # x[q] = 0 and no count is negative, so the script is normalized
+    return Divisor._of_chips(chips), FiringScript._of_counts(x)
 
 
 # -- unchecked kernels ---------------------------------------------------------
@@ -293,8 +317,6 @@ def level_set_chain(x: FiringScript) -> list[VertexSet]:
     """
     if x.is_zero:
         raise DomainError("zero script has no level-set chain")
-    if min(x.x) != 0:
-        raise DomainError("script must be normalized (minimum entry 0)")
     t = x.max
     return [
         frozenset(v for v, xv in enumerate(x.x) if xv >= t + 1 - i)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .divisors import Divisor
-from .errors import FormatError
-from .graph import MultiGraph, _members
+from .errors import DomainError, FormatError
+from .graph import MultiGraph, _members, _require_int
 
 if TYPE_CHECKING:
     from .morphism import FiniteMorphism
@@ -136,7 +136,13 @@ def parse_td(text: str) -> TreeDecomposition:
 
 
 def write_td(td: TreeDecomposition, n: int) -> str:
+    """The .td text of td as a decomposition of a graph on n vertices;
+    ``DomainError`` unless n is an int >= 0 above every bag member, so
+    that ``parse_td`` reads back what this writes."""
+    _require_int(n, "n", 0)
     masks = td.masks
+    if max(masks, default=0) >> n:
+        raise DomainError(f"a bag holds a vertex outside 0..{n - 1}")
     lines = [f"s td {len(masks)} {td.width + 1} {n}"]
     for i, bag in enumerate(masks, 1):
         lines.append(" ".join(["b", str(i), *(str(v + 1) for v in _members(bag))]))

@@ -10,19 +10,29 @@ at most k by subdividing each tree edge once per fiber edge.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import DomainError, InternalError
-from .graph import FrozenRecord, MultiGraph, Record, _mask, _require_connected
+from .graph import FrozenRecord, MultiGraph, Record, _int_tuple, _mask, _require_connected
 from .treedec import RefinementMap, TreeDecomposition, _contract
 
 
 class FiniteMorphism(FrozenRecord):
     """vertex_map[v] is the image tree vertex; edge_map[i] the image tree
     edge id of the i-th graph edge (ids index ``MultiGraph.edge_list``);
-    index[i] the positive index of that edge."""
+    index[i] the positive index of that edge.
+
+    The constructor checks the shape: each field a collection of ints (a
+    bool is not one), stored as a tuple, with images and edge ids >= 0
+    and indices >= 1.  ``check_morphism`` checks the fields against G and T.
+    """
 
     __slots__ = ("vertex_map", "edge_map", "index")
+
+    def __init__(self, vertex_map: Iterable[int], edge_map: Iterable[int],
+                 index: Iterable[int]):
+        self._put(_int_tuple(vertex_map, "vertex_map", 0),
+                  _int_tuple(edge_map, "edge_map", 0), _int_tuple(index, "index", 1))
 
 
 class MorphismReport(Record):
@@ -42,7 +52,9 @@ def is_tree(t: MultiGraph) -> bool:
 
 def check_morphism(g: MultiGraph, t: MultiGraph,
                    f: FiniteMorphism) -> MorphismReport:
-    """Verify incidence preservation and index positivity."""
+    """Verify that f maps G into the tree T and preserves incidence; f's
+    constructor has checked that its entries are ints and its indices
+    positive."""
     violations = []
     if not is_tree(t):
         violations.append("codomain is not a tree")
@@ -54,11 +66,10 @@ def check_morphism(g: MultiGraph, t: MultiGraph,
     if violations:
         return MorphismReport(False, violations)
     for v, img in enumerate(f.vertex_map):
-        if not (type(img) is int and 0 <= img < t.n):
+        if img >= t.n:
             violations.append(f"vertex {v} maps outside the tree")
-    for i, (u, v) in enumerate(g_edges):
-        ti, idx = f.edge_map[i], f.index[i]
-        if not (type(ti) is int and 0 <= ti < len(t_edges)):
+    for i, ((u, v), ti) in enumerate(zip(g_edges, f.edge_map)):
+        if ti >= len(t_edges):
             violations.append(f"edge {i} maps to unknown tree edge {ti}")
             continue
         a, b = t_edges[ti]
@@ -66,10 +77,6 @@ def check_morphism(g: MultiGraph, t: MultiGraph,
             violations.append(
                 f"edge {i}=({u},{v}) maps to non-incident tree edge {ti}"
             )
-        if type(idx) is not int:
-            violations.append(f"edge {i} has index {idx!r}, which is not an int")
-        elif idx < 1:
-            violations.append(f"edge {i} has nonpositive index {idx}")
     return MorphismReport(not violations, violations)
 
 

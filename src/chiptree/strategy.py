@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from .divisors import Divisor, _burn, _fire_unburnt, _require_vertices
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around,
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _collection,
                     _components, _digits, _mask, _require_int, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
@@ -57,7 +57,8 @@ class MssTree(FrozenRecord):
     def __init__(self, searchers: int, xs: Iterable[int],
                  territories: Iterable[int], parents: Iterable[Optional[int]]):
         _require_int(searchers, "searchers", 0)
-        xs, territories, parents = tuple(xs), tuple(territories), tuple(parents)
+        xs, territories, parents = (_collection(xs, "xs"), _collection(territories, "territories"),
+                                    _collection(parents, "parents"))
         lengths = [len(xs), len(territories), len(parents)]
         if not xs or len(set(lengths)) > 1:
             raise DomainError(f"columns have lengths {lengths}")
@@ -140,9 +141,7 @@ class MssTree(FrozenRecord):
         moves = self.moves
         for i, kids in enumerate(self.children):
             for c in kids:
-                tag = STEP_LABEL.get(moves[c], "")
-                attr = f' [label="{tag}"]' if tag else ""
-                lines.append(f"  n{i} -> n{c}{attr};")
+                lines.append(f'  n{i} -> n{c} [label="{STEP_LABEL[moves[c]]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -3,11 +3,13 @@ an exact brute-force treewidth oracle, and refinement contraction."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _mask,
-                    _members, _require_connected, _require_int, _vertices)
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _collection,
+                    _mask, _members, _require_connected, _require_int, _vertices)
 
 if TYPE_CHECKING:
     from .strategy import MssTree
@@ -26,11 +28,11 @@ class TreeDecomposition(FrozenRecord):
     __slots__ = ("masks", "tree_edges")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
-        masks = tuple(map(_mask, bags))
+        masks = tuple(_mask(_collection(bag, "bag")) for bag in _collection(bags, "bags"))
         if min(masks, default=0) < 0:
             raise DomainError(f"bag {masks.index(-1)} holds a member that is not an int >= 0")
         edges, b = [], len(masks)
-        for edge in tree_edges:
+        for edge in _collection(tree_edges, "tree_edges"):
             i, j = edge if type(edge) in (tuple, list) and len(edge) == 2 else (None, None)
             if not type(i) is type(j) is int:
                 raise DomainError(f"tree edge {edge!r} is not a pair of ints")
@@ -338,7 +340,7 @@ def treedec_by_elimination(g: MultiGraph,
     _require_connected(g)
     n = g.n
     if order is not None:
-        order = list(order)
+        order = _collection(order, "order")
         if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
             raise DomainError("elimination order must be a permutation of V")
     order, later = _eliminate(g.neighbour_masks, order)
@@ -359,12 +361,50 @@ class RefinementMap(FrozenRecord):
     ``subdivision`` maps a subdivision vertex to the original edge it sits
     on (endpoints u < w, parallel-edge copy, position along the path), and
     ``added_leaves`` maps an added leaf to its anchor (refined vertex id).
+
+    The constructor checks the shape and keeps a read-only copy of each
+    mapping: every key and image is an int >= 0 (a bool is not one), each
+    subdivision image a 4-tuple of them, and no refined vertex sits in
+    two tables.  ``check`` compares the map with the two graphs.
     """
 
     __slots__ = ("original", "subdivision", "added_leaves")
 
+    def __init__(self, original: Mapping[int, int],
+                 subdivision: Mapping[int, tuple[int, int, int, int]],
+                 added_leaves: Mapping[int, int]):
+        tables, seen = [], set()
+        for name, table, noun, size in (
+                ("original", original, "refined vertex", 1),
+                ("subdivision", subdivision, "subdivision vertex", 4),
+                ("added_leaves", added_leaves, "added leaf", 1)):
+            if not isinstance(table, Mapping):
+                raise DomainError(f"{name} must be a mapping, got {type(table).__name__}")
+            checked = {}
+            for v, image in table.items():
+                if not (type(v) is int and v >= 0):
+                    raise DomainError(f"{name} has the key {v!r}, which is not an int >= 0")
+                ints = tuple(image) if size > 1 and type(image) in (tuple, list) else (image,)
+                if len(ints) != size or not all(type(i) is int and i >= 0 for i in ints):
+                    want = "an int >= 0" if size == 1 else f"a {size}-tuple of ints >= 0"
+                    raise DomainError(f"{noun} {v} maps to {image!r}, which is not {want}")
+                checked[v] = ints if size > 1 else image
+            twice = seen & checked.keys()
+            if twice:
+                raise DomainError(f"refined vertex {min(twice)} sits in two tables")
+            seen |= checked.keys()
+            tables.append(MappingProxyType(checked))
+        self._put(*tables)
+
+    def __hash__(self):
+        return hash(tuple(frozenset(table.items()) for table in self._values()))
+
+    def __reduce__(self):
+        return RefinementMap, tuple(map(dict, self._values()))
+
     @staticmethod
     def identity(n: int) -> "RefinementMap":
+        _require_int(n, "n", 0)
         return RefinementMap({v: v for v in range(n)}, {}, {})
 
     def check(self, g_original: MultiGraph, g_refined: MultiGraph) -> None:
@@ -377,9 +417,8 @@ class RefinementMap(FrozenRecord):
         position to w.  Each added leaf hangs from its anchor by one edge.
         """
         original, subdivision, leaves = self.original, self.subdivision, self.added_leaves
-        classified = set(original) | set(subdivision) | set(leaves)
-        if classified != set(range(g_refined.n)) or \
-                len(original) + len(subdivision) + len(leaves) != g_refined.n:
+        # the constructor put no refined vertex in two tables
+        if original.keys() | subdivision.keys() | leaves.keys() != set(range(g_refined.n)):
             raise DomainError("refinement map does not classify every refined "
                               "vertex exactly once")
         if len(original) != g_original.n or \

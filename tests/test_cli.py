@@ -21,8 +21,7 @@ from chiptree.formats import (
     write_refinement_map,
     write_td,
 )
-from chiptree import (Divisor, FiniteMorphism, RefinementMap, treedec_by_elimination,
-                      validate_treedec)
+from chiptree import Divisor, RefinementMap, treedec_by_elimination, validate_treedec
 
 from conftest import multigraphs, random_harmonic_covering
 
@@ -422,13 +421,18 @@ def input_files(draw):
     four a file is token soup."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     g, t, f = random_harmonic_covering(rng, rng.randint(2, 3), rng.randint(2, 3))
+    morphism = write_morphism(f, g, t)
     if draw(st.booleans()):
-        f = FiniteMorphism(f.vertex_map, f.edge_map,
-                           tuple(rng.randint(0, 2) for _ in f.index))
+        # the same file with new indices; an index 0, which no
+        # FiniteMorphism holds, is refused as the file is read
+        index = [rng.randint(0, 2) for _ in f.index]
+        morphism = "".join([f"v {v} {w}\n" for v, w in enumerate(f.vertex_map)]
+                           + [f"e {i} {ti} {k}\n"
+                              for i, (ti, k) in enumerate(zip(f.edge_map, index))])
     order = list(range(g.n))
     rng.shuffle(order)
     files = {"td": write_td(treedec_by_elimination(g, order), g.n),
-             "t": write_gr(t), "m": write_morphism(f, g, t), "o": write_gr(g),
+             "t": write_gr(t), "m": morphism, "o": write_gr(g),
              "r": write_refinement_map(RefinementMap.identity(g.n))}
     if draw(st.integers(0, 3)) == 3:
         g = draw(multigraphs())

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from chiptree import (
     build_mss,
     dhar,
     dist,
+    effective_divisors,
     fire_set,
     good_firing_set,
     has_positive_rank,
@@ -67,6 +69,30 @@ class TestDegreeAndSupport:
     def test_chip_that_is_no_int_rejected(self, chip):
         with pytest.raises(DomainError, match=r"^vertex 0 holds .* chips, which is not an int$"):
             Divisor((chip, 0, 0))
+
+    def test_chips_that_are_no_collection_rejected(self):
+        with pytest.raises(DomainError, match="^chips must be a collection, got None$"):
+            Divisor(None)
+
+    def test_factories(self):
+        assert Divisor.zero(3) == Divisor((0, 0, 0))
+        assert Divisor.single(3, 2) == Divisor((0, 0, 1))
+        assert Divisor.single(3, 0, 4) == Divisor((4, 0, 0))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Divisor.zero(2.5), "n must be an int >= 0, got 2.5"),
+        (lambda: Divisor.zero(-1), "n must be an int >= 0, got -1"),
+        (lambda: Divisor.single(True, 0), "n must be an int >= 0, got True"),
+        (lambda: Divisor.single(3, 1.5), "vertex 1.5 is not a vertex in 0..2"),
+        (lambda: Divisor.single(3, 5), "vertex 5 is not a vertex in 0..2"),
+        (lambda: Divisor.single(3, -1), "vertex -1 is not a vertex in 0..2"),
+        (lambda: Divisor.single(3, 0, 1.5), "vertex 0 holds 1.5 chips, which is not an int"),
+    ], ids=["zero 2.5", "zero -1", "single n True", "single v 1.5", "single v 5",
+            "single v -1", "single amount 1.5"])
+    def test_factories_check_their_arguments(self, call, message):
+        # -1 used to put the chip on the last vertex
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_of_converts_with_int(self):
         assert Divisor.of([1.5, "2", True]) == Divisor((1, 2, 1))
@@ -267,6 +293,34 @@ class TestScriptsAndDist:
             assert dist(g, a, c) <= dist(g, a, b) + dist(g, b, c)
 
 
+class TestFiringScript:
+    def test_fields_become_a_tuple(self):
+        x = FiringScript([2, 0, 1])
+        assert x.x == (2, 0, 1) and x == FiringScript(iter((2, 0, 1)))
+        assert hash(x) == hash(FiringScript((2, 0, 1)))
+
+    def test_normalized_subtracts_the_minimum(self):
+        assert FiringScript.normalized([5, 3, 4]) == FiringScript((2, 0, 1))
+        assert FiringScript.normalized([-1]) == FiringScript((0,))
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.5, 0], "script holds 1.5, which is not an int"),
+        ([True, 0], "script holds True, which is not an int"),
+        (None, "script must be a collection, got None"),
+        ([], "script must be nonempty"),
+    ], ids=["float", "bool", "None", "empty"])
+    def test_normalized_takes_only_ints(self, values, message):
+        # 1.5 used to be truncated to 1, and [] raised a raw ValueError
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            FiringScript.normalized(values)
+
+    def test_q_reduce_hands_back_a_normalized_script(self):
+        g = path3()
+        for d in effective_divisors(3, 3):
+            _, x = q_reduce(g, d, 1)
+            assert x == FiringScript(x.x) and x.x[1] == 0
+
+
 class TestLevelSetChain:
     def test_direct_formula(self):
         chain = level_set_chain(FiringScript((2, 1, 0)))
@@ -285,9 +339,11 @@ class TestLevelSetChain:
             level_set_chain(FiringScript((0, 0)))
 
     def test_unnormalized_script_rejected(self):
-        with pytest.raises(DomainError, match=r"^script must be normalized \(minimum "
-                                              r"entry 0\)$"):
-            level_set_chain(FiringScript((2, 1, 1)))
+        # no script is made unnormalized, so level_set_chain never meets one
+        for x in [(2, 1, 1), (1, -1), ()]:
+            with pytest.raises(DomainError, match=r"^script must be normalized \(minimum "
+                                                  r"entry 0\)$"):
+                FiringScript(x)
 
     def test_replay_through_fire_set(self):
         g = path3()

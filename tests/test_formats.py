@@ -1,12 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiptree import (Divisor, FiniteMorphism, FormatError, GraphError, MultiGraph,
-                      TreeDecomposition, build_mss, has_positive_rank, mss_to_treedec,
-                      treedec_by_elimination)
+from chiptree import (Divisor, DomainError, FiniteMorphism, FormatError, GraphError,
+                      MultiGraph, TreeDecomposition, build_mss, has_positive_rank,
+                      mss_to_treedec, treedec_by_elimination)
 from chiptree import formats
 from chiptree.fixtures import banana_graph, c4_to_p3_morphism, example_graph, path_graph
 from chiptree.formats import (
@@ -112,6 +113,20 @@ class TestTd:
                 d = Divisor([c + 1 for c in d.chips])
             td = mss_to_treedec(g, build_mss(g, d))
             assert parse_td(write_td(td, g.n)) == td
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an int >= 0, got 2.5"),
+        (True, "n must be an int >= 0, got True"),
+        (-1, "n must be an int >= 0, got -1"),
+        (2, "a bag holds a vertex outside 0..1"),
+    ])
+    def test_writer_refuses_what_its_parser_refuses(self, n, message):
+        # the header used to read "s td 1 2 2.5", and a bag member 5 of a
+        # 2-vertex graph was written for parse_td to refuse
+        td = TreeDecomposition([{0, 5}], [])
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            write_td(td, n)
+        assert parse_td(write_td(td, 6)) == td
 
     @pytest.mark.parametrize("text", [
         "",
@@ -264,7 +279,7 @@ class TestMorphismText:
 
         f = FiniteMorphism(draws(st.integers(0, tree_size - 1), g.n),
                            draws(st.integers(0, 5), g.num_edges),
-                           draws(st.integers(-2, 5), g.num_edges))
+                           draws(st.integers(1, 5), g.num_edges))
         assert parse_morphism(write_morphism(f, g, t), g, t) == f
 
     def test_missing_edge_rejected(self):

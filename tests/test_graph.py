@@ -66,6 +66,26 @@ class TestConstruction:
             MultiGraph(2, [(0, 1)], labels=labels)
 
 
+    @pytest.mark.parametrize("edges, labels", [(None, None), (5, None), ([(0, 1)], 7)],
+                             ids=["edges None", "edges 5", "labels 7"])
+    def test_collection_that_is_no_collection_rejected(self, edges, labels):
+        with pytest.raises(GraphError, match=r"^(edges|labels) must be a collection, got "):
+            MultiGraph(2, edges, labels)
+
+
+def test_equality_hash_and_repr():
+    """Two graphs are equal, and hash alike, when they have the same
+    vertex count and edge multiplicities, whatever the order and
+    orientation of the edges given; labels are outside equality."""
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 1)], labels=list("abc"))
+    same = MultiGraph(3, [(2, 1), (1, 0), (0, 1)])
+    assert g == same and hash(g) == hash(same)
+    assert g != MultiGraph(3, [(0, 1), (1, 2)])
+    assert g != MultiGraph(4, [(0, 1), (1, 2), (0, 1)])
+    assert g != [(0, 1), (1, 2), (0, 1)]
+    assert repr(g) == "MultiGraph(n=3, m=3)"
+
+
 def test_pickle_and_copies_carry_no_memo():
     """A graph pickles as its vertex count, edges and labels: after 1,000
     rank tests its pickle is as long as a fresh graph's."""

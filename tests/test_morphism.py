@@ -51,10 +51,10 @@ class TestCheckMorphism:
         assert any("non-incident" in v for v in report.violations)
 
     def test_nonpositive_index(self):
-        g, t, f = c4_to_p3_morphism()
-        bad = FiniteMorphism(f.vertex_map, f.edge_map, (1, 0, 1, 1))
-        report = check_morphism(g, t, bad)
-        assert any("nonpositive index" in v for v in report.violations)
+        # a finite morphism has positive indices, so none is ever made with 0
+        _, _, f = c4_to_p3_morphism()
+        with pytest.raises(DomainError, match=r"^index holds 0, which is not an int >= 1$"):
+            FiniteMorphism(f.vertex_map, f.edge_map, (1, 0, 1, 1))
 
     def test_length_mismatch(self):
         g, t, f = c4_to_p3_morphism()
@@ -66,25 +66,47 @@ class TestCheckMorphism:
         report = check_morphism(g, t, FiniteMorphism(f.vertex_map, f.edge_map, f.index[:3]))
         assert report.violations == ["edge_map/index length does not match |E(G)|"]
 
-    @pytest.mark.parametrize("image", [3, -1, 1.0], ids=["past-the-end", "negative", "float"])
-    def test_vertex_mapped_outside_the_tree(self, image):
+    @pytest.mark.parametrize("image, message", [
+        (3, "vertex 3 maps outside the tree"),
+        (-1, "vertex_map holds -1, which is not an int >= 0"),
+        (1.0, "vertex_map holds 1.0, which is not an int >= 0"),
+    ], ids=["past-the-end", "negative", "float"])
+    def test_vertex_mapped_outside_the_tree(self, image, message):
         # a float image 1.0 passed as tree vertex 1, and then harmonic_certificate
         # raised a raw TypeError from indexing the tree with it
         g, t, f = c4_to_p3_morphism()
-        report = check_morphism(g, t, FiniteMorphism((0, 1, 2, image), f.edge_map, f.index))
-        assert report.violations[0] == "vertex 3 maps outside the tree"
+        assert _refusal(g, t, (0, 1, 2, image), f.edge_map, f.index) == message
 
-    @pytest.mark.parametrize("edge", [2, -1, 0.0], ids=["past-the-end", "negative", "float"])
-    def test_edge_mapped_to_an_unknown_tree_edge(self, edge):
+    @pytest.mark.parametrize("edge, message", [
+        (2, "edge 0 maps to unknown tree edge 2"),
+        (-1, "edge_map holds -1, which is not an int >= 0"),
+        (0.0, "edge_map holds 0.0, which is not an int >= 0"),
+    ], ids=["past-the-end", "negative", "float"])
+    def test_edge_mapped_to_an_unknown_tree_edge(self, edge, message):
         g, t, f = c4_to_p3_morphism()
-        report = check_morphism(g, t, FiniteMorphism(f.vertex_map, (edge, 0, 1, 1), f.index))
-        assert report.violations == [f"edge 0 maps to unknown tree edge {edge}"]
+        assert _refusal(g, t, f.vertex_map, (edge, 0, 1, 1), f.index) == message
 
     @pytest.mark.parametrize("index", [1.0, float("nan"), True], ids=["float", "nan", "bool"])
     def test_index_that_is_not_an_int(self, index):
         g, t, f = c4_to_p3_morphism()
-        report = check_morphism(g, t, FiniteMorphism(f.vertex_map, f.edge_map, (1, index, 1, 1)))
-        assert report.violations == [f"edge 1 has index {index!r}, which is not an int"]
+        assert _refusal(g, t, f.vertex_map, f.edge_map, (1, index, 1, 1)) == \
+            f"index holds {index!r}, which is not an int >= 1"
+
+    def test_fields_become_tuples(self):
+        f = FiniteMorphism([0, 1], iter([0]), range(1, 2))
+        assert f == FiniteMorphism((0, 1), (0,), (1,))
+        assert hash(f) == hash(FiniteMorphism((0, 1), (0,), (1,)))
+
+
+def _refusal(g, t, *fields):
+    """The first word against a morphism: its constructor's ``DomainError``,
+    which sees only the fields, or else the first violation that
+    ``check_morphism`` finds against G and T."""
+    try:
+        f = FiniteMorphism(*fields)
+    except DomainError as exc:
+        return str(exc)
+    return check_morphism(g, t, f).violations[0]
 
 
 class TestHarmonicCertificate:

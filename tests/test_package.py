@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chiptree
-from chiptree import (ChipTreeError, Divisor, FiniteMorphism, MultiGraph, Position,
-                      TreeDecomposition, build_mss, effective_divisors, has_positive_rank,
-                      mss_to_treedec, q_reduce, treedec_by_elimination, validate_treedec)
+from chiptree import (ChipTreeError, Divisor, FiniteMorphism, FiringScript, MultiGraph,
+                      Position, RefinementMap, TreeDecomposition, apply_script, build_mss,
+                      check_morphism, contract_refinement, dist, effective_divisors,
+                      harmonic_certificate, has_positive_rank, level_set_chain,
+                      morphism_to_treedec, mss_to_treedec, q_reduce, stable_treedec,
+                      treedec_by_elimination, validate_treedec)
 from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph
 from chiptree.formats import parse_gr, write_document, write_gr, write_morphism, write_td
 from chiptree.strategy import MssTree
@@ -169,6 +172,9 @@ class TestRecords:
 
 PATH3 = MultiGraph(3, [(0, 1), (1, 2)])
 BAGS = [{0, 1}, {1, 2}]
+C4, P3, FOLD = c4_to_p3_morphism()
+P2 = MultiGraph(2, [(0, 1)])
+P2_TD = TreeDecomposition([{0, 1}], [])
 
 # one malformed value each, refused with a ChipTreeError where it enters
 PROBES = {
@@ -192,6 +198,32 @@ PROBES = {
     "Divisor.of x": lambda: Divisor.of(["x"]),
     "searchers '4'": lambda: MssTree("4", [0], [7], [None]),
     "parent True": lambda: MssTree(2, [0, 1, 1], [7, 6, 4], [None, 0, True]),
+    "vertex_map None": lambda: check_morphism(C4, P3, FiniteMorphism(None, FOLD.edge_map,
+                                                                      FOLD.index)),
+    "index 0": lambda: FiniteMorphism(FOLD.vertex_map, FOLD.edge_map, (1, 0, 1, 1)),
+    "original None": lambda: contract_refinement(P2, P2, P2_TD, RefinementMap(None, {}, {})),
+    "original {0: '0'}": lambda: contract_refinement(P2, P2, P2_TD,
+                                                     RefinementMap({0: "0", 1: 1}, {}, {})),
+    "subdivision (0, 1)": lambda: RefinementMap({0: 0, 1: 1}, {2: (0, 1)}, {}),
+    "original list": lambda: contract_refinement(P2, P2, P2_TD, RefinementMap([0, 1], {}, {})),
+    "original {0.0: 0}": lambda: RefinementMap({0.0: 0, 1: 1}, {}, {}),
+    "identity 2.5": lambda: RefinementMap.identity(2.5),
+    "normalized [1.5, 0]": lambda: FiringScript.normalized([1.5, 0]),
+    "normalized []": lambda: FiringScript.normalized([]),
+    "script None": lambda: level_set_chain(FiringScript(None)),
+    "script (True, 0)": lambda: FiringScript((True, 0)),
+    "script ('a', 0)": lambda: apply_script(P2, Divisor((1, 0)), FiringScript(("a", 0))),
+    "edges None": lambda: MultiGraph(2, None),
+    "bag 5": lambda: TreeDecomposition([5], []),
+    "tree edges None": lambda: TreeDecomposition([{0}], None),
+    "order 2.5": lambda: treedec_by_elimination(PATH3, 2.5),
+    "xs None": lambda: MssTree(1, None, [1], [None]),
+    "zero 2.5": lambda: Divisor.zero(2.5),
+    "single v 1.5": lambda: Divisor.single(3, 1.5),
+    "single v 5": lambda: Divisor.single(3, 5),
+    "single v -1": lambda: Divisor.single(3, -1),
+    "write_td n 2.5": lambda: write_td(TreeDecomposition(BAGS, [(0, 1)]), 2.5),
+    "write_td bag {0, 5}": lambda: write_td(TreeDecomposition([{0, 5}], []), 2),
 }
 
 JUNK = st.one_of(st.integers(-2, 4), st.floats(), st.booleans(), st.text(max_size=2),
@@ -244,9 +276,60 @@ def test_record_constructors_and_readers_raise_only_typed_errors(count, chips, q
     except ChipTreeError:
         return
     validate_treedec(g, td)
-    write_td(td, g.n)
     td.to_dot(g)
     td.to_dot()
+    try:
+        write_td(td, g.n)
+    except ChipTreeError:  # a bag member at n or above, which parse_td refuses
+        pass
+
+
+MAPS = st.one_of(
+    st.dictionaries(st.one_of(st.integers(0, 4), JUNK),
+                    st.one_of(st.integers(0, 3), JUNK, st.tuples(*[st.integers(0, 2)] * 4),
+                              st.lists(JUNK, max_size=5)), max_size=4),
+    JUNK, st.lists(JUNK, max_size=2))
+COLUMNS = st.one_of(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                    st.lists(JUNK, max_size=5), JUNK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=st.lists(COLUMNS, min_size=3, max_size=3),
+       tables=st.lists(MAPS, min_size=3, max_size=3), script=COLUMNS,
+       chips=st.lists(st.lists(st.integers(-1, 2), min_size=4, max_size=4), min_size=2,
+                      max_size=2))
+def test_morphism_refinement_and_script_records_raise_only_typed_errors(columns, tables,
+                                                                        script, chips):
+    """Morphisms, refinement maps and firing scripts made from junk reach
+    the operations that read them: the fold of C4 onto a path, and C4 as
+    the 2-banana with both edges subdivided; every refusal is a
+    ``ChipTreeError``."""
+    banana, c4_td = MultiGraph(2, [(0, 1), (0, 1)]), treedec_by_elimination(C4)
+    records = {}
+    for name, make in [("f", lambda: FiniteMorphism(*columns)),
+                       ("rmap", lambda: RefinementMap(*tables)),
+                       ("x", lambda: FiringScript(script)),
+                       ("normalized", lambda: FiringScript.normalized(script))]:
+        try:
+            records[name] = make()
+        except ChipTreeError:
+            pass
+    f, rmap = records.get("f", FOLD), records.get("rmap")
+    calls = [lambda: check_morphism(C4, P3, f), lambda: harmonic_certificate(C4, P3, f),
+             lambda: morphism_to_treedec(C4, P3, f)]
+    if rmap is not None:
+        calls += [lambda: contract_refinement(banana, C4, c4_td, rmap),
+                  lambda: stable_treedec(banana, C4, rmap, P3, f)]
+    for x in (records.get("x"), records.get("normalized")):
+        if x is not None:
+            calls += [lambda x=x: level_set_chain(x),
+                      lambda x=x: apply_script(C4, Divisor(chips[0]), x)]
+    calls.append(lambda: dist(C4, Divisor(chips[0]), Divisor(chips[1])))
+    for call in calls:
+        try:
+            call()
+        except ChipTreeError:
+            pass
 
 
 # -- what each CLI call loads ---------------------------------------------------

@@ -599,7 +599,9 @@ def test_constructor_refuses_an_empty_tree():
     (True, {}, "searchers must be an int >= 0, got True"),
     (4, {"xs": [True, 0]}, "a searcher or territory entry is not a vertex mask"),
     (4, {"territories": [3, 2.0]}, "a searcher or territory entry is not a vertex mask"),
-], ids=["str", "None", "negative", "bool", "bool-mask", "float-mask"])
+    (1, {"xs": None}, "xs must be a collection, got None"),
+    (1, {"parents": 0}, "parents must be a collection, got 0"),
+], ids=["str", "None", "negative", "bool", "bool-mask", "float-mask", "xs None", "parents 0"])
 def test_constructor_refuses_a_malformed_shape(searchers, columns, message):
     """A searcher count or a mask of the wrong type, where a raw
     ``TypeError`` came out of ``mss_to_treedec`` for a searcher count "4",

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -223,6 +224,16 @@ def test_constructor_refuses_an_edge_that_is_not_a_pair_of_ints():
     # a list pair is taken, and stored as a tuple
     td = TreeDecomposition(bags, [[0, 1]])
     assert td.tree_edges == ((0, 1),) and type(td.tree_edges[0]) is tuple
+
+
+@pytest.mark.parametrize("bags, edges, message", [
+    ([5], [], "bag must be a collection, got 5"),
+    (None, [], "bags must be a collection, got None"),
+    ([{0}], None, "tree_edges must be a collection, got None"),
+], ids=["bag 5", "bags None", "edges None"])
+def test_constructor_refuses_what_is_no_collection(bags, edges, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        TreeDecomposition(bags, edges)
 
 
 def test_decomposition_is_frozen_and_its_copies_are_checked():
@@ -452,6 +463,10 @@ class TestEliminationDecomposition:
         with pytest.raises(DomainError):
             treedec_by_elimination(path_graph(3), order=[0, 0, 1])
 
+    def test_order_that_is_no_collection_rejected(self):
+        with pytest.raises(DomainError, match="^order must be a collection, got 2.5$"):
+            treedec_by_elimination(path_graph(3), 2.5)
+
     @pytest.mark.parametrize("order", [[0.0, 1, 2], [True, 0, 2], ["0", 1, 2], [None, 1, 2]])
     def test_order_of_non_ints_rejected(self, order):
         # 0.0 sorts and compares equal to 0; "0" does not sort among ints
@@ -516,27 +531,77 @@ class TestContractRefinement:
     @pytest.mark.parametrize("edge", [(1, 99), (0, 2), (1, 0), (-1, 1), (0, 0)])
     def test_subdivision_endpoints_outside_the_original_rejected(self, edge):
         # the 2-banana refined into C4, with one subdivision vertex placed
-        # on an edge that the banana does not have
+        # on an edge that the banana does not have; the map's constructor
+        # refuses the endpoint -1, the check against the banana the others
         banana = banana_graph(2)
         c4 = MultiGraph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
-        rmap = RefinementMap({0: 0, 1: 1},
-                             {2: (*edge, 0, 0), 3: (0, 1, 1, 0)}, {})
         td = TreeDecomposition(
             [frozenset({0, 2, 1}), frozenset({0, 1, 3})], [(0, 1)]
         )
         with pytest.raises(DomainError, match="subdivision vertex 2"):
+            rmap = RefinementMap({0: 0, 1: 1},
+                                 {2: (*edge, 0, 0), 3: (0, 1, 1, 0)}, {})
             contract_refinement(banana, c4, td, rmap)
 
-    @pytest.mark.parametrize("rmap", [
-        RefinementMap({0: 0, 1: 1}, {}, {}),
-        RefinementMap({0: 0, 1: 1, 2: 1}, {2: (0, 1, 0, 0)}, {}),
+    @pytest.mark.parametrize("tables, message", [
+        (({0: 0, 1: 1}, {}, {}),
+         "refinement map does not classify every refined vertex exactly once"),
+        (({0: 0, 1: 1, 2: 1}, {2: (0, 1, 0, 0)}, {}), "refined vertex 2 sits in two tables"),
     ], ids=["unclassified", "twice"])
-    def test_map_that_does_not_classify_each_vertex_once_rejected(self, rmap):
-        # the edge 0-1 subdivided once: 0 - 2 - 1
+    def test_map_that_does_not_classify_each_vertex_once_rejected(self, tables, message):
+        # the edge 0-1 subdivided once: 0 - 2 - 1.  The check against the
+        # graphs finds an unclassified vertex; the constructor refuses a
+        # vertex in two tables, before any graph is seen
         refined = MultiGraph(3, [(0, 2), (2, 1)])
-        with pytest.raises(DomainError, match="^refinement map does not classify every "
-                                              "refined vertex exactly once$"):
-            rmap.check(path_graph(2), refined)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            RefinementMap(*tables).check(path_graph(2), refined)
+
+    @pytest.mark.parametrize("tables, message", [
+        ((None, {}, {}), "original must be a mapping, got NoneType"),
+        (([0, 1], {}, {}), "original must be a mapping, got list"),
+        (({0: 0}, {}, [(1, 0)]), "added_leaves must be a mapping, got list"),
+        (({0: "0", 1: 1}, {}, {}), "refined vertex 0 maps to '0', which is not an int >= 0"),
+        (({0: 0, 1: -1}, {}, {}), "refined vertex 1 maps to -1, which is not an int >= 0"),
+        (({0.0: 0, 1: 1}, {}, {}), "original has the key 0.0, which is not an int >= 0"),
+        (({True: 0, 1: 1}, {}, {}), "original has the key True, which is not an int >= 0"),
+        (({0: 0, 1: 1}, {2: (0, 1)}, {}),
+         "subdivision vertex 2 maps to (0, 1), which is not a 4-tuple of ints >= 0"),
+        (({0: 0, 1: 1}, {2: (0, 1, 0, 0.0)}, {}),
+         "subdivision vertex 2 maps to (0, 1, 0, 0.0), which is not a 4-tuple of ints >= 0"),
+        (({0: 0, 1: 1}, {2: 0}, {}),
+         "subdivision vertex 2 maps to 0, which is not a 4-tuple of ints >= 0"),
+        (({0: 0, 1: 1}, {}, {2: None}), "added leaf 2 maps to None, which is not an int >= 0"),
+        (({0: 0, 1: 1}, {}, {1: 0}), "refined vertex 1 sits in two tables"),
+    ], ids=["None", "list", "leaves list", "str image", "negative image", "float key",
+            "bool key", "short edge", "float position", "int edge", "None anchor", "twice"])
+    def test_constructor_refuses_a_malformed_map(self, tables, message):
+        # each of these raised a raw TypeError, ValueError or AttributeError
+        # in contract_refinement, or passed, as the key 0.0 did
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            RefinementMap(*tables)
+
+    def test_identity_checks_n(self):
+        assert RefinementMap.identity(2) == RefinementMap({0: 0, 1: 1}, {}, {})
+        for n in (2.5, -1, True):
+            with pytest.raises(DomainError, match="^n must be an int >= 0, got "):
+                RefinementMap.identity(n)
+
+    def test_map_is_frozen_and_copied(self):
+        original = {0: 0, 1: 1}
+        subdivision = {2: [0, 1, 0, 0]}
+        rmap = RefinementMap(original, subdivision, {})
+        original[5] = 5
+        subdivision[2][0] = 7
+        assert rmap == RefinementMap({0: 0, 1: 1}, {2: (0, 1, 0, 0)}, {})
+        with pytest.raises(TypeError):
+            rmap.original[5] = 5
+        with pytest.raises(AttributeError):
+            rmap.original = {}
+        assert hash(rmap) == hash(RefinementMap({1: 1, 0: 0}, {2: (0, 1, 0, 0)}, {}))
+        assert rmap != RefinementMap({0: 0, 1: 1}, {2: (0, 1, 0, 1)}, {})
+        for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            back = clone(rmap)
+            assert back == rmap and hash(back) == hash(rmap)
 
     def test_original_vertices_must_biject(self):
         rmap = RefinementMap({0: 0, 1: 0}, {}, {})
