@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
-from .graph import (FrozenRecord, MultiGraph, VertexSet, _collection, _int_tuple,
+from .graph import (FrozenRecord, MultiGraph, VertexSet, _int_tuple, _iterable,
                     _require_connected, _require_int)
 
 
@@ -23,7 +23,7 @@ class Divisor(FrozenRecord):
 
     def __init__(self, chips: Sequence[int]):
         # a copy, so that the caller's list cannot change the divisor
-        chips = _collection(chips, "chips")
+        chips = tuple(_iterable(chips, "chips"))
         for v, c in enumerate(chips):
             if type(c) is not int:
                 raise DomainError(f"vertex {v} holds {c!r} chips, which is not an int")
@@ -98,21 +98,12 @@ class FiringScript(FrozenRecord):
             raise DomainError("script must be normalized (minimum entry 0)")
         object.__setattr__(self, "x", x)
 
-    @classmethod
-    def _of_counts(cls, x: Iterable[int]) -> "FiringScript":
-        """The normalized script of int counts a kernel made, unchecked."""
-        script = cls.__new__(cls)
-        object.__setattr__(script, "x", tuple(x))
-        return script
-
     @staticmethod
     def normalized(values: Iterable[int]) -> "FiringScript":
         """The script of the ints in values, each less their minimum."""
         vals = _int_tuple(values, "script")
-        if not vals:
-            raise DomainError("script must be nonempty")
-        lo = min(vals)
-        return FiringScript._of_counts(v - lo for v in vals)
+        lo = min(vals, default=0)
+        return FiringScript(v - lo for v in vals)
 
     def __len__(self):
         return len(self.x)
@@ -211,8 +202,7 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     chips = list(d.chips)
     x = [0] * g.n
     _reduce(g._adj, chips, q, x)
-    # x[q] = 0 and no count is negative, so the script is normalized
-    return Divisor._of_chips(chips), FiringScript._of_counts(x)
+    return Divisor._of_chips(chips), FiringScript(x)
 
 
 # -- unchecked kernels ---------------------------------------------------------

@@ -87,7 +87,7 @@ class MultiGraph:
             raise GraphError(f"vertex count must be an int >= 0, got {n!r}")
         self.n = n
         mult: dict[tuple[int, int], int] = {}
-        for edge in _collection(edges, "edges", GraphError):
+        for edge in _iterable(edges, "edges", GraphError):
             if type(edge) not in (tuple, list) or len(edge) != 2:
                 raise GraphError(f"edge {edge!r} is not a pair of vertices")
             u, v = edge
@@ -115,7 +115,7 @@ class MultiGraph:
         self._ranks: dict[tuple[int, ...], bool] = {}
         self._neighbour_masks: Optional[list[int]] = None
         if labels is not None:
-            labels = list(_collection(labels, "labels", GraphError))
+            labels = list(_iterable(labels, "labels", GraphError))
             if len(labels) != n:
                 raise GraphError("label list length does not match vertex count")
             for name in labels:
@@ -249,20 +249,20 @@ def _require_int(value, name: str, least: Optional[int] = None) -> None:
         raise DomainError(f"{name} must be an int{bound}, got {value!r}")
 
 
-def _collection(values, name: str, error: type = DomainError) -> tuple:
-    """values as a tuple; ``error`` (a ``ChipTreeError`` class) unless
-    values is iterable: the check of a public collection argument."""
+def _iterable(values, name: str, error: type = DomainError):
+    """An iterator over values, copying nothing; ``error`` (a
+    ``ChipTreeError`` class) unless values is iterable: the check of a
+    public collection argument."""
     try:
-        items = iter(values)
+        return iter(values)
     except TypeError:
         raise error(f"{name} must be a collection, got {values!r}") from None
-    return tuple(items)
 
 
 def _int_tuple(values, name: str, least: Optional[int] = None) -> tuple[int, ...]:
     """values as a tuple of ints (a bool is not one), each at least
     ``least`` if given; ``DomainError`` otherwise."""
-    values = _collection(values, name)
+    values = tuple(_iterable(values, name))
     for v in values:
         if type(v) is not int or least is not None and v < least:
             bound = "" if least is None else f" >= {least}"

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from .divisors import Divisor, _burn, _fire_unburnt, _require_vertices
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _collection,
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _iterable,
                     _components, _digits, _mask, _require_int, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
@@ -57,8 +57,9 @@ class MssTree(FrozenRecord):
     def __init__(self, searchers: int, xs: Iterable[int],
                  territories: Iterable[int], parents: Iterable[Optional[int]]):
         _require_int(searchers, "searchers", 0)
-        xs, territories, parents = (_collection(xs, "xs"), _collection(territories, "territories"),
-                                    _collection(parents, "parents"))
+        xs, territories, parents = (tuple(_iterable(xs, "xs")),
+                                    tuple(_iterable(territories, "territories")),
+                                    tuple(_iterable(parents, "parents")))
         lengths = [len(xs), len(territories), len(parents)]
         if not xs or len(set(lengths)) > 1:
             raise DomainError(f"columns have lengths {lengths}")

@@ -8,7 +8,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _collection,
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _iterable,
                     _mask, _members, _require_connected, _require_int, _vertices)
 
 if TYPE_CHECKING:
@@ -28,11 +28,11 @@ class TreeDecomposition(FrozenRecord):
     __slots__ = ("masks", "tree_edges")
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
-        masks = tuple(_mask(_collection(bag, "bag")) for bag in _collection(bags, "bags"))
+        masks = tuple(_mask(_iterable(bag, "bag")) for bag in _iterable(bags, "bags"))
         if min(masks, default=0) < 0:
             raise DomainError(f"bag {masks.index(-1)} holds a member that is not an int >= 0")
         edges, b = [], len(masks)
-        for edge in _collection(tree_edges, "tree_edges"):
+        for edge in _iterable(tree_edges, "tree_edges"):
             i, j = edge if type(edge) in (tuple, list) and len(edge) == 2 else (None, None)
             if not type(i) is type(j) is int:
                 raise DomainError(f"tree edge {edge!r} is not a pair of ints")
@@ -340,7 +340,7 @@ def treedec_by_elimination(g: MultiGraph,
     _require_connected(g)
     n = g.n
     if order is not None:
-        order = _collection(order, "order")
+        order = tuple(_iterable(order, "order"))
         if any(type(v) is not int for v in order) or sorted(order) != list(range(n)):
             raise DomainError("elimination order must be a permutation of V")
     order, later = _eliminate(g.neighbour_masks, order)

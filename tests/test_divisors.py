@@ -307,7 +307,7 @@ class TestFiringScript:
         ([1.5, 0], "script holds 1.5, which is not an int"),
         ([True, 0], "script holds True, which is not an int"),
         (None, "script must be a collection, got None"),
-        ([], "script must be nonempty"),
+        ([], "script must be normalized (minimum entry 0)"),
     ], ids=["float", "bool", "None", "empty"])
     def test_normalized_takes_only_ints(self, values, message):
         # 1.5 used to be truncated to 1, and [] raised a raw ValueError
