@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InternalError, NotFireableError
 from .graph import (FrozenRecord, MultiGraph, VertexSet, _int_tuple, _iterable,
-                    _require_connected, _require_int)
+                    _require_connected, _require_int, _vertex_set)
 
 
 class Divisor(FrozenRecord):
@@ -55,8 +55,7 @@ class Divisor(FrozenRecord):
     @staticmethod
     def single(n: int, v: int, amount: int = 1) -> "Divisor":
         _require_int(n, "n", 0)
-        if not (type(v) is int and 0 <= v < n):
-            raise DomainError(f"vertex {v!r} is not a vertex in 0..{n - 1}")
+        _vertex_set(n, (v,), "vertex")
         chips = [0] * n
         chips[v] = amount
         return Divisor(chips)
@@ -81,6 +80,8 @@ class Divisor(FrozenRecord):
 
     def format(self, g: MultiGraph) -> str:
         """Sparse `<vertex>:<chips>` form, e.g. ``a:3`` or ``0:2 4:1``."""
+        if len(self.chips) != g.n:
+            raise DomainError(f"divisor length {len(self.chips)} does not match n={g.n}")
         parts = [f"{g.vertex_name(v)}:{c}" for v, c in enumerate(self.chips) if c]
         return " ".join(parts) if parts else "0"
 
@@ -129,28 +130,21 @@ def _require_divisor(g: MultiGraph, d: Divisor) -> None:
         raise DomainError(f"divisor must be effective, got chips {chips}")
 
 
-def _require_vertices(g: MultiGraph, vs: Iterable[int], what: str = "vertex") -> None:
-    for v in vs:
-        if not (type(v) is int and 0 <= v < g.n):
-            raise DomainError(f"{what} {v} is not a vertex in 0..{g.n - 1}")
-
-
 def is_fireable(g: MultiGraph, d: Divisor, u: Iterable[int]) -> bool:
     """True iff every vertex of u keeps a nonnegative chip count when u fires."""
     _require_divisor(g, d)
-    uset = frozenset(u)
-    _require_vertices(g, uset)
-    return all(g.outdeg(uset, v) <= d[v] for v in uset)
+    uset = _vertex_set(g.n, u, "vertex")
+    return all(sum(m for w, m in g._adj[v] if w not in uset) <= d[v] for v in uset)
 
 
 def fire_set(g: MultiGraph, d: Divisor, u: Iterable[int]) -> Divisor:
-    """Fire the set u: one chip moves along every edge leaving u."""
+    """Fire the set u: one chip moves along every edge leaving u, unless
+    ``NotFireableError`` names the smallest vertex of u that cannot fire."""
     _require_divisor(g, d)
-    uset = frozenset(u)
-    _require_vertices(g, uset)
+    uset = _vertex_set(g.n, u, "vertex")
     room = [-1] * g.n
-    for v in uset:
-        out = g.outdeg(uset, v)
+    for v in sorted(uset):
+        out = sum(m for w, m in g._adj[v] if w not in uset)
         if out > d[v]:
             raise NotFireableError(v, out, d[v])
         room[v] = d[v] - out
@@ -177,7 +171,7 @@ def dhar(g: MultiGraph, d: Divisor, q: int) -> VertexSet:
     """Maximal fireable subset of V - {q}, or the empty set if d is q-reduced."""
     _require_divisor(g, d)
     _require_connected(g)
-    _require_vertices(g, (q,), "q")
+    _vertex_set(g.n, (q,), "q")
     room, _ = _burn(g._adj, d.chips, q)
     return frozenset(v for v, left in enumerate(room) if left >= 0)
 
@@ -198,7 +192,7 @@ def q_reduce(g: MultiGraph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     """
     _require_divisor(g, d)
     _require_connected(g)
-    _require_vertices(g, (q,), "q")
+    _vertex_set(g.n, (q,), "q")
     chips = list(d.chips)
     x = [0] * g.n
     _reduce(g._adj, chips, q, x)
@@ -307,8 +301,10 @@ def level_set_chain(x: FiringScript) -> list[VertexSet]:
     """
     if x.is_zero:
         raise DomainError("zero script has no level-set chain")
-    t = x.max
-    return [
-        frozenset(v for v, xv in enumerate(x.x) if xv >= t + 1 - i)
-        for i in range(1, t + 1)
-    ]
+    # U_i changes only where t+1-i passes an entry of x, so each distinct
+    # set is built once and consecutive equal levels share it
+    levels = sorted(set(x.x), reverse=True)
+    chain = []
+    for hi, lo in zip(levels, levels[1:]):
+        chain += [frozenset(v for v, xv in enumerate(x.x) if xv >= hi)] * (hi - lo)
+    return chain

@@ -265,6 +265,8 @@ def parse_morphism(text: str, g: MultiGraph, t: MultiGraph) -> FiniteMorphism:
             vmap[v] = image
         elif parts[0] == "e" and len(parts) == 4:
             eid, tid, idx = _ints(parts[1:], line, "morphism edge line")
+            if not 0 <= tid < t.num_edges:
+                raise FormatError(f"tree edge id {tid} outside 0..{t.num_edges - 1}")
             if eid in emap:
                 raise FormatError(f"graph edge {eid} has a second morphism line")
             emap[eid] = (tid, idx)
@@ -302,6 +304,8 @@ def parse_refinement_map(text: str) -> RefinementMap:
         key, *tokens = line.split()
         table, count = tables.get(key, (None, -1))  # no count fits an unknown key
         v, *image = _ints(tokens, line, "refinement line", count)
+        if min(v, *image) < 0:
+            raise FormatError(f"negative id in refinement line: {line!r}")
         if v in original or v in subdivision or v in leaves:
             raise FormatError(f"refined vertex {v} has a second line")
         table[v] = tuple(image) if key == "sub" else image[0]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
 from .divisors import Divisor, _burn, _require_divisor
@@ -104,30 +103,24 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
 
 
 def effective_divisors(n: int, degree: int) -> Iterator[Divisor]:
-    """All effective divisors of the given degree, in descending lex chip
+    """All effective divisors of the given degree, in ascending lex chip
     order; n and degree are checked on the call."""
     _require_int(n, "n", 0)
     _require_int(degree, "degree", 0)
-    return map(Divisor._of_chips, _slot_counts(n, degree))
-
-
-def _slot_counts(n: int, degree: int) -> Iterator[list[int]]:
-    for slots in combinations_with_replacement(range(n), degree):
-        chips = [0] * n
-        for v in slots:
-            chips[v] += 1
-        yield chips
+    return _lex_ascending(n, degree)
 
 
 def _lex_ascending(n: int, degree: int) -> Iterator[Divisor]:
-    """The effective divisors of ``effective_divisors(n, degree)``, streamed
-    in ascending lex chip order, from (0, .., 0, degree) to (degree, 0, .., 0).
+    """The effective divisors on n vertices of the given degree, streamed in
+    ascending lex chip order, from (0, .., 0, degree) to (degree, 0, .., 0).
 
     The successor of a chip vector moves one chip from the last nonzero
     entry after position i to position i, for the largest such i, and puts
     the rest of that entry on the last vertex.
     """
     if n < 1:
+        if degree == 0:
+            yield Divisor._of_chips(())
         return
     chips = [0] * n
     chips[-1] = degree

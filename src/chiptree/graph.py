@@ -115,6 +115,8 @@ class MultiGraph:
         self._ranks: dict[tuple[int, ...], bool] = {}
         self._neighbour_masks: Optional[list[int]] = None
         if labels is not None:
+            if isinstance(labels, str):  # not one label per character
+                raise GraphError(f"labels must be a collection, got {labels!r}")
             labels = list(_iterable(labels, "labels", GraphError))
             if len(labels) != n:
                 raise GraphError("label list length does not match vertex count")
@@ -167,12 +169,15 @@ class MultiGraph:
         return self._mult.get((u, v) if u < v else (v, u), 0)
 
     def vertex_index(self, name) -> int:
-        """Resolve a label or integer-like token to a vertex index."""
+        """Resolve a label, an integer token or an int (not a bool) to a
+        vertex index."""
+        if type(name) not in (int, str):
+            raise GraphError(f"unknown vertex {name!r}")
         if self._label_index is not None and name in self._label_index:
             return self._label_index[name]
         try:
             i = int(name)
-        except (TypeError, ValueError):
+        except ValueError:
             raise GraphError(f"unknown vertex {name!r}") from None
         if not 0 <= i < self.n:
             raise GraphError(f"vertex index {i} out of range")
@@ -203,15 +208,14 @@ class MultiGraph:
 
     def outdeg(self, u: Iterable[int], v: int) -> int:
         """Number of edges (with multiplicity) from v to vertices outside u."""
-        uset = u if isinstance(u, (set, frozenset)) else frozenset(u)
-        if v not in uset:
-            raise GraphError(f"outdeg requires v in U, got v={v}")
+        uset = _vertex_set(self.n, u, "vertex", GraphError)
+        if type(v) is not int or v not in uset:
+            raise GraphError(f"outdeg requires v in U, got v={v!r}")
         return sum(m for w, m in self._adj[v] if w not in uset)
 
     def flaps(self, x: Iterable[int]) -> list[VertexSet]:
         """Connected components of G - X, ordered by smallest member."""
-        xset = frozenset(x)
-        seen = set(xset)
+        seen = set(_vertex_set(self.n, x, "vertex", GraphError))
         comps = []
         for start in range(self.n):
             if start in seen:
@@ -257,6 +261,17 @@ def _iterable(values, name: str, error: type = DomainError):
         return iter(values)
     except TypeError:
         raise error(f"{name} must be a collection, got {values!r}") from None
+
+
+def _vertex_set(n: int, vs, what: str, error: type = DomainError) -> VertexSet:
+    """The frozenset of vs, walked once; ``error`` unless vs is a collection
+    of ints (no bool) in 0..n-1, naming a bad member ``what``."""
+    vset = set()
+    for v in _iterable(vs, f"{what} set", error):
+        if not (type(v) is int and 0 <= v < n):
+            raise error(f"{what} {v!r} is not a vertex in 0..{n - 1}")
+        vset.add(v)
+    return frozenset(vset)
 
 
 def _int_tuple(values, name: str, least: Optional[int] = None) -> tuple[int, ...]:

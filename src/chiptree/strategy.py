@@ -13,11 +13,11 @@ from collections import deque
 from itertools import compress
 from typing import Iterable, Iterator, Optional
 
-from .divisors import Divisor, _burn, _fire_unburnt, _require_vertices
+from .divisors import Divisor, _burn, _fire_unburnt
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _iterable,
-                    _components, _digits, _mask, _require_int, _vertices)
+from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _components,
+                    _digits, _iterable, _mask, _require_int, _vertex_set, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
 SHRINK = "shrink"  # case (a), construction step II
@@ -168,10 +168,10 @@ def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
     r must be one component of G - X that holds no chip of d, as in step
     III: then no firing reaches r, so the search ends (README).
     """
+    x = _vertex_set(g.n, x, "searcher")
+    r = _vertex_set(g.n, r, "territory vertex")
     if not r:
         raise DomainError("territory flap must be nonempty")
-    _require_vertices(g, x, "searcher")
-    _require_vertices(g, r, "territory vertex")
     if not has_positive_rank(g, d):  # also checks d and connectivity
         raise DomainError("divisor does not have positive rank")
     xm, rm = _mask(x), _mask(r)

@@ -60,6 +60,8 @@ class TreeDecomposition(FrozenRecord):
         return max(map(int.bit_count, self.masks), default=0) - 1
 
     def to_dot(self, g: Optional[MultiGraph] = None) -> str:
+        if g is not None and max(self.masks, default=0) >> g.n:
+            raise DomainError(f"a bag holds a vertex outside 0..{g.n - 1}")
         lines = ["graph treedec {", "  node [shape=box];"]
         for i, bag in enumerate(self.masks):
             members = _members(bag)

@@ -369,6 +369,28 @@ class TestMorphismTd:
                              "--refinement", str(tmp_path / "r.map"))
         assert (code, out, err) == (2, "", f"error: malformed-input: {reason}\n")
 
+    @pytest.mark.parametrize("name, old, new, reason", [
+        ("fold.map", "e 0 0 1", "e 0 2 1", "tree edge id 2 outside 0..1"),
+        ("fold.map", "e 0 0 1", "e 0 -1 1", "tree edge id -1 outside 0..1"),
+        ("r.map", "sub 3 0 1 1 0", "sub 3 0 1 1 -1",
+         "negative id in refinement line: 'sub 3 0 1 1 -1'"),
+    ], ids=["tree-edge-id-2", "tree-edge-id-negative", "refinement-position-negative"])
+    def test_id_out_of_range_is_bad_input(self, capsys, tmp_path, fold_args, name, old,
+                                          new, reason):
+        (tmp_path / "r.map").write_text("orig 0 0\norig 2 1\nsub 1 0 1 0 0\nsub 3 0 1 1 0\n")
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(old, new))
+        code, out, err = run(capsys, *fold_args, "--original", str(tmp_path / "banana.gr"),
+                             "--refinement", str(tmp_path / "r.map"))
+        assert (code, out, err) == (2, "", f"error: malformed-input: {reason}\n")
+
+    def test_index_zero_is_a_domain_error(self, capsys, tmp_path, fold_args):
+        # a well-formed line whose index no finite morphism has
+        mp = tmp_path / "fold.map"
+        mp.write_text(mp.read_text().replace("e 0 0 1", "e 0 0 0"))
+        code, out, err = run(capsys, *fold_args)
+        assert (code, out) == (1, "") and err.startswith("error: DomainError: ")
+
     def test_refinement_without_original_fails(self, capsys, tmp_path, fold_args):
         # the map file need not exist: the option pair is refused first
         code, out, err = run(capsys, *fold_args,

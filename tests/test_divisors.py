@@ -155,6 +155,14 @@ class TestFireSet:
             fire_set(g, fixture_divisor, {g.vertex_index("b")})
         assert info.value.vertex == g.vertex_index("b")
 
+    def test_error_names_the_smallest_violating_vertex(self):
+        # the frozenset {1, 8} yields 8 first; neither end of U can fire
+        g = MultiGraph(10, [(v, v + 1) for v in range(9)])
+        assert list(frozenset({1, 8})) == [8, 1]
+        with pytest.raises(NotFireableError) as info:
+            fire_set(g, Divisor.zero(10), {1, 8})
+        assert info.value.vertex == 1
+
     def test_matches_laplacian_arithmetic(self, fixture_graph, fixture_divisor):
         g = fixture_graph
         u = {g.vertex_index("a")}
@@ -337,6 +345,24 @@ class TestLevelSetChain:
     def test_zero_script_rejected(self):
         with pytest.raises(DomainError):
             level_set_chain(FiringScript((0, 0)))
+
+    def test_equal_levels_share_one_set(self):
+        # a huge entry costs one list slot per level, not one set
+        chain = level_set_chain(FiringScript((10**6, 0, 5)))
+        assert len(chain) == 10**6
+        assert chain[0] == frozenset({0}) and chain[-1] == frozenset({0, 2})
+        assert len({id(u) for u in chain}) == 2
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_chain_matches_the_direct_formula(self, values):
+        x = FiringScript.normalized(values + [0])
+        if x.is_zero:
+            return
+        t = x.max
+        direct = [frozenset(v for v, xv in enumerate(x.x) if xv >= t + 1 - i)
+                  for i in range(1, t + 1)]
+        assert level_set_chain(x) == direct
 
     def test_unnormalized_script_rejected(self):
         # no script is made unnormalized, so level_set_chain never meets one

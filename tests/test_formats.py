@@ -173,6 +173,12 @@ class TestDivisorText:
         with pytest.raises(FormatError):
             parse_divisor("0 a:1", g)
 
+    @pytest.mark.parametrize("chips", [(0,) * 8 + (1,), (1, 0)], ids=["long", "short"])
+    def test_format_checks_the_length(self, chips):
+        with pytest.raises(DomainError, match=f"^divisor length {len(chips)} does not "
+                                              "match n=7$"):
+            Divisor(chips).format(example_graph())
+
     def test_bad_tokens(self):
         g = example_graph()
         with pytest.raises(FormatError):
@@ -270,15 +276,16 @@ class TestMorphismText:
         assert parse_morphism(write_morphism(f, g, t), g, t) == f
 
     @settings(max_examples=30, deadline=None)
-    @given(labelled_graphs(), st.integers(1, 4), st.data())
+    @given(labelled_graphs(), st.integers(2, 4), st.data())
     def test_roundtrip_random_maps(self, g, tree_size, data):
+        # tree edge ids lie in 0..|E(T)|-1, which the parser checks
         t = path_graph(tree_size)
 
         def draws(values, size):
             return tuple(data.draw(st.lists(values, min_size=size, max_size=size)))
 
         f = FiniteMorphism(draws(st.integers(0, tree_size - 1), g.n),
-                           draws(st.integers(0, 5), g.num_edges),
+                           draws(st.integers(0, t.num_edges - 1), g.num_edges),
                            draws(st.integers(1, 5), g.num_edges))
         assert parse_morphism(write_morphism(f, g, t), g, t) == f
 
@@ -342,6 +349,9 @@ MESSAGES = [
     (parse_refinement_map, "orig 1 x\n", "bad refinement line: 'orig 1 x'"),
     (parse_refinement_map, "sub 4 0 1 0\n", "bad refinement line: 'sub 4 0 1 0'"),
     (parse_refinement_map, "huh\n", "bad refinement line: 'huh'"),
+    (parse_refinement_map, "orig -1 0\n", "negative id in refinement line: 'orig -1 0'"),
+    (parse_refinement_map, "sub 1 0 1 0 -1\n",
+     "negative id in refinement line: 'sub 1 0 1 0 -1'"),
 ]
 
 
@@ -356,6 +366,8 @@ def test_malformed_input_message(parse, text, message):
     ("e 0 x 1", "bad morphism edge line: 'e 0 x 1'"),
     ("e 0 1", "bad morphism line: 'e 0 1'"),
     ("q 1 2", "bad morphism line: 'q 1 2'"),
+    ("e 0 2 1", "tree edge id 2 outside 0..1"),
+    ("e 0 -1 1", "tree edge id -1 outside 0..1"),
 ])
 def test_malformed_morphism_message(line, message):
     g, t, _ = c4_to_p3_morphism()

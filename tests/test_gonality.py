@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -207,6 +208,9 @@ class TestEnumeration:
     def test_counts(self):
         assert len(list(effective_divisors(3, 2))) == 6
         assert all(d.degree == 2 for d in effective_divisors(3, 2))
+        # no vertex: the empty divisor has degree 0, and nothing has more
+        assert list(effective_divisors(0, 0)) == [Divisor(())]
+        assert list(effective_divisors(0, 2)) == []
 
     @pytest.mark.parametrize("n, degree, message", [
         (3, 2.5, "degree must be an int >= 0, got 2.5"),
@@ -313,11 +317,19 @@ class TestGonality:
         assert result == dgon_bruteforce(g, 3)
 
 
+def lex_sorted(n, k):
+    """The effective divisors of degree k on n vertices: every chip vector
+    with entries in 0..k, filtered by degree and sorted."""
+    return [Divisor(c) for c in sorted(c for c in product(range(k + 1), repeat=n)
+                                       if sum(c) == k)]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("k", range(0, 5))
 def test_streamed_candidates_are_ascending_lex(n, k):
-    expected = sorted(effective_divisors(n, k), key=lambda d: d.chips)
+    expected = lex_sorted(n, k)
     assert list(_lex_ascending(n, k)) == expected
+    assert list(effective_divisors(n, k)) == expected
 
 
 def test_witness_is_the_lex_first_positive_divisor():
@@ -328,9 +340,8 @@ def test_witness_is_the_lex_first_positive_divisor():
     for g in graphs:
         expected = None
         for k in range(1, 5):
-            expected = next((d for d in sorted(effective_divisors(g.n, k),
-                                               key=lambda d: d.chips)
-                             if has_positive_rank(g, d)), None)
+            expected = next((d for d in lex_sorted(g.n, k) if has_positive_rank(g, d)),
+                            None)
             if expected is not None:
                 break
         result = dgon_bruteforce(g, 4)

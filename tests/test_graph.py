@@ -66,11 +66,24 @@ class TestConstruction:
             MultiGraph(2, [(0, 1)], labels=labels)
 
 
-    @pytest.mark.parametrize("edges, labels", [(None, None), (5, None), ([(0, 1)], 7)],
-                             ids=["edges None", "edges 5", "labels 7"])
+    # a str is iterable, but list("ab") would label one vertex per character
+    @pytest.mark.parametrize("edges, labels", [(None, None), (5, None), ([(0, 1)], 7),
+                                               ([(0, 1)], "ab")],
+                             ids=["edges None", "edges 5", "labels 7", "labels 'ab'"])
     def test_collection_that_is_no_collection_rejected(self, edges, labels):
         with pytest.raises(GraphError, match=r"^(edges|labels) must be a collection, got "):
             MultiGraph(2, edges, labels)
+
+
+class TestVertexIndex:
+    def test_labels_tokens_and_ints(self, fixture_graph):
+        assert fixture_graph.vertex_index("b") == 1
+        assert path(3).vertex_index("2") == path(3).vertex_index(2) == 2
+
+    @pytest.mark.parametrize("name", [True, 1.7, None, [1], "x", "3", 3, -1])
+    def test_anything_else_is_unknown(self, name):
+        with pytest.raises(GraphError):
+            path(3).vertex_index(name)
 
 
 def test_equality_hash_and_repr():
@@ -137,6 +150,12 @@ class TestOutdeg:
         with pytest.raises(GraphError):
             path(3).outdeg({0, 1}, 2)
 
+    @pytest.mark.parametrize("u, v", [(None, 1), ({0}, 0.0), ({1}, True), ([0, "a"], 0),
+                                      ({0, 3}, 0), ([-1, 0], 0)])
+    def test_junk_is_a_graph_error(self, u, v):
+        with pytest.raises(GraphError):
+            path(3).outdeg(u, v)
+
     @given(multigraphs(), st.randoms(use_true_random=False))
     @settings(max_examples=60)
     def test_sums_to_cut_size(self, g, rng):
@@ -156,6 +175,19 @@ class TestFlaps:
     def test_full_x_leaves_nothing(self):
         g = path(3)
         assert g.flaps({0, 1, 2}) == []
+
+    @pytest.mark.parametrize("x, message", [
+        (None, "vertex set must be a collection, got None"),
+        (["a"], "vertex 'a' is not a vertex in 0..2"),
+        ([1.0], "vertex 1.0 is not a vertex in 0..2"),
+        ([True], "vertex True is not a vertex in 0..2"),
+        ([3], "vertex 3 is not a vertex in 0..2"),
+    ])
+    def test_junk_is_a_graph_error(self, x, message):
+        # a float used to stand for its int, and a str was ignored
+        with pytest.raises(GraphError) as info:
+            path(3).flaps(x)
+        assert str(info.value) == message
 
     def test_fixture_flaps_at_bc(self, fixture_graph):
         g = fixture_graph

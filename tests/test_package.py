@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 import chiptree
 from chiptree import (ChipTreeError, Divisor, FiniteMorphism, FiringScript, MultiGraph,
                       Position, RefinementMap, TreeDecomposition, apply_script, build_mss,
-                      check_morphism, contract_refinement, dist, effective_divisors,
-                      harmonic_certificate, has_positive_rank, level_set_chain,
-                      morphism_to_treedec, mss_to_treedec, q_reduce, stable_treedec,
-                      treedec_by_elimination, validate_treedec)
-from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph
-from chiptree.formats import parse_gr, write_document, write_gr, write_morphism, write_td
-from chiptree.strategy import MssTree
+                      check_morphism, contract_refinement, dhar, dist, effective_divisors,
+                      fire_set, harmonic_certificate, has_positive_rank, is_fireable,
+                      level_set_chain, morphism_to_treedec, mss_to_treedec, q_reduce,
+                      stable_treedec, treedec_by_elimination, validate_treedec)
+from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph, path_graph
+from chiptree.formats import (parse_gr, parse_morphism, parse_refinement_map,
+                              write_document, write_gr, write_morphism, write_td)
+from chiptree.strategy import MssTree, good_firing_set
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -175,6 +176,7 @@ BAGS = [{0, 1}, {1, 2}]
 C4, P3, FOLD = c4_to_p3_morphism()
 P2 = MultiGraph(2, [(0, 1)])
 P2_TD = TreeDecomposition([{0, 1}], [])
+EXAMPLE, THREE = example_graph(), Divisor((3, 0, 0, 0, 0, 0, 0))
 
 # one malformed value each, refused with a ChipTreeError where it enters
 PROBES = {
@@ -224,6 +226,21 @@ PROBES = {
     "single v -1": lambda: Divisor.single(3, -1),
     "write_td n 2.5": lambda: write_td(TreeDecomposition(BAGS, [(0, 1)]), 2.5),
     "write_td bag {0, 5}": lambda: write_td(TreeDecomposition([{0, 5}], []), 2),
+    "flaps None": lambda: EXAMPLE.flaps(None),
+    "flaps ['a']": lambda: EXAMPLE.flaps(["a"]),
+    "flaps [1.0]": lambda: path_graph(3).flaps([1.0]),
+    "outdeg None": lambda: EXAMPLE.outdeg(None, 1),
+    "outdeg v 0.0": lambda: EXAMPLE.outdeg({0}, 0.0),
+    "is_fireable None": lambda: is_fireable(EXAMPLE, THREE, None),
+    "fire_set 5": lambda: fire_set(EXAMPLE, THREE, 5),
+    "good_firing_set None": lambda: good_firing_set(EXAMPLE, THREE, None, {1}),
+    "to_dot bag {0, 9}": lambda: TreeDecomposition([{0, 9}], []).to_dot(EXAMPLE),
+    "format length 9": lambda: Divisor((0,) * 8 + (1,)).format(EXAMPLE),
+    "vertex_index True": lambda: EXAMPLE.vertex_index(True),
+    "vertex_index 1.7": lambda: EXAMPLE.vertex_index(1.7),
+    "labels 'ab'": lambda: MultiGraph(2, [(0, 1)], labels="ab"),
+    "tree edge id 2": lambda: parse_morphism("v 0 0\nv 1 1\ne 0 2 1\n", P2, P2),
+    "refinement id -1": lambda: parse_refinement_map("orig 0 -1\n"),
 }
 
 JUNK = st.one_of(st.integers(-2, 4), st.floats(), st.booleans(), st.text(max_size=2),
@@ -240,12 +257,13 @@ def test_malformed_probe_raises_a_typed_error(probe):
 @settings(max_examples=150, deadline=None)
 @given(count=JUNK, chips=st.lists(JUNK, min_size=3, max_size=3), q=JUNK,
        edges=st.lists(PAIRS, max_size=3), members=st.lists(JUNK, max_size=3),
-       order=st.lists(JUNK, min_size=3, max_size=3))
+       order=st.lists(JUNK, min_size=3, max_size=3),
+       vertices=st.one_of(st.lists(st.one_of(JUNK, PAIRS), max_size=3), JUNK))
 def test_record_constructors_and_readers_raise_only_typed_errors(count, chips, q, edges,
-                                                                 members, order):
-    """Malformed counts, chips, vertices, bag members and tree edges reach
-    the record constructors and the operations that read those records;
-    every refusal is a ``ChipTreeError``."""
+                                                                 members, order, vertices):
+    """Malformed counts, chips, vertices, vertex sets, bag members and tree
+    edges reach the record constructors and the operations that read those
+    records; every refusal is a ``ChipTreeError``."""
     g = PATH3
     calls = [
         lambda: MultiGraph(count, []),
@@ -266,7 +284,11 @@ def test_record_constructors_and_readers_raise_only_typed_errors(count, chips, q
     except ChipTreeError:
         d = Divisor((1, 0, 0))
     for call in (lambda: has_positive_rank(g, d), lambda: build_mss(g, d),
-                 lambda: q_reduce(g, d, q)):
+                 lambda: q_reduce(g, d, q), lambda: dhar(g, d, q),
+                 lambda: g.flaps(vertices), lambda: g.outdeg(vertices, q),
+                 lambda: is_fireable(g, d, vertices), lambda: fire_set(g, d, vertices),
+                 lambda: good_firing_set(g, d, vertices, {1, 2}),
+                 lambda: good_firing_set(g, d, {0}, vertices)):
         try:
             call()
         except ChipTreeError:
@@ -276,12 +298,12 @@ def test_record_constructors_and_readers_raise_only_typed_errors(count, chips, q
     except ChipTreeError:
         return
     validate_treedec(g, td)
-    td.to_dot(g)
     td.to_dot()
-    try:
-        write_td(td, g.n)
-    except ChipTreeError:  # a bag member at n or above, which parse_td refuses
-        pass
+    for call in (lambda: td.to_dot(g), lambda: write_td(td, g.n)):
+        try:
+            call()
+        except ChipTreeError:  # a bag member at n or above, outside g
+            pass
 
 
 MAPS = st.one_of(

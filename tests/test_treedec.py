@@ -359,6 +359,13 @@ class TestMssToTreedec:
         assert '  b0 [label=""];\n' in unlabelled
         assert '  b11 [label="1,4,5,6"];\n' in unlabelled
 
+    def test_dot_checks_the_bags_against_the_graph(self, fixture_graph):
+        # vertex 9 has no name in a graph on 7 vertices
+        td = TreeDecomposition([{0, 9}], [])
+        with pytest.raises(DomainError, match=r"^a bag holds a vertex outside 0\.\.6$"):
+            td.to_dot(fixture_graph)
+        assert td.to_dot() == 'graph treedec {\n  node [shape=box];\n  b0 [label="0,9"];\n}\n'
+
     def test_rejects_broken_strategy(self, fixture_graph, fixture_divisor):
         tree = build_mss(fixture_graph, fixture_divisor)
         # a search cut short after node 6; a tree whose root has a parent, a
