@@ -89,13 +89,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .divisors import q_reduce
+    from .divisors import _vertex_counts, q_reduce
     g, d = _load_divisor(args)
     q = g.vertex_index(args.q)
     reduced, script = q_reduce(g, d, q)
-    script_text = " ".join(
-        f"{g.vertex_name(v)}:{script[v]}" for v in range(g.n) if script[v]
-    ) or "0"
+    script_text = _vertex_counts(g, script.x)
     _emit(f"reduced: {reduced.format(g)}\nscript: {script_text}\n", args.out)
     return EXIT_OK
 

@@ -82,8 +82,12 @@ class Divisor(FrozenRecord):
         """Sparse `<vertex>:<chips>` form, e.g. ``a:3`` or ``0:2 4:1``."""
         if len(self.chips) != g.n:
             raise DomainError(f"divisor length {len(self.chips)} does not match n={g.n}")
-        parts = [f"{g.vertex_name(v)}:{c}" for v, c in enumerate(self.chips) if c]
-        return " ".join(parts) if parts else "0"
+        return _vertex_counts(g, self.chips)
+
+
+def _vertex_counts(g: MultiGraph, counts: Sequence[int]) -> str:
+    """`<vertex>:<count>` per nonzero count of a length-n vector, else ``0``."""
+    return " ".join(f"{g._name(v)}:{c}" for v, c in enumerate(counts) if c) or "0"
 
 
 class FiringScript(FrozenRecord):
@@ -160,7 +164,7 @@ def apply_script(g: MultiGraph, d: Divisor, x: FiringScript) -> Divisor:
             f"divisor length {len(d)} and script length {len(x)} must both be n={g.n}"
         )
     chips = list(d.chips)
-    for (u, v), m in g.edge_multiplicities.items():
+    for (u, v), m in g._mult.items():
         diff = x[u] - x[v]
         chips[u] -= m * diff
         chips[v] += m * diff
@@ -230,16 +234,20 @@ def _burn(adj: list[tuple[tuple[int, int], ...]], chips: Sequence[int],
 
 
 def _fire_unburnt(adj: list[tuple[tuple[int, int], ...]], chips: list[int],
-                  room: list[int]) -> None:
+                  room: list[int]) -> list[int]:
     """Fire the unburnt set U of a burn, the v with room(v) >= 0, once, in
     place: v in U sends a chip along each edge leaving U and is left with
-    room(v) = chips(v) - outdeg_U(v).  ``fire_set`` writes such a room."""
+    room(v) = chips(v) - outdeg_U(v).  ``fire_set`` writes such a room.
+    Returns the burnt vertices that received chips, with repeats."""
+    received = []
     for v, left in enumerate(room):
         if left >= 0:
             chips[v] = left
             for w, m in adj[v]:
                 if room[w] < 0:
                     chips[w] += m
+                    received.append(w)
+    return received
 
 
 def _reduce(adj: list[tuple[tuple[int, int], ...]], chips: list[int], q: int,

@@ -231,7 +231,7 @@ def _parse_document(lines: list[str]) -> tuple[MultiGraph, Optional[Divisor]]:
 
 
 def write_document(g: MultiGraph, d: Optional[Divisor] = None) -> str:
-    names = [g.vertex_name(v) for v in range(g.n)]
+    names = [g._name(v) for v in range(g.n)]
     lines = [f"format {DOCUMENT_FORMAT}", "vertices " + " ".join(names)]
     for u, v in g.edge_list:
         lines.append(f"edge {names[u]} {names[v]}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .divisors import Divisor, _burn, _require_divisor
+from .divisors import Divisor, _burn, _fire_unburnt, _require_divisor
 from .errors import BudgetError, DomainError, InternalError
 from .graph import FrozenRecord, MultiGraph, _require_connected, _require_int
 
@@ -26,14 +26,14 @@ _RANK_MEMO_CHIPS = 1 << 16
 def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     """True iff the q-reduced form of d has a chip on q, for every vertex q.
 
-    Each q runs Dhar rounds: burn from q, then fire the unburnt set U once,
-    straight from the burn's room.  q never fires while d is q-reduced, so
-    the chips on q only grow, and q passes at its first chip; a round that
-    burns everything leaves d q-reduced with q empty.  Every divisor a
-    legal firing reaches is effective and equivalent to d.  So each q
-    starts from the chips the previous one left, and a q that holds a chip
-    in d, or received one for an earlier q of this test, passes without a
-    round of its own.  Each round lowers the distance to the q-reduced form
+    Each q runs Dhar rounds: burn from q, then fire the unburnt set U once
+    with ``_fire_unburnt``, which names the vertices that received chips.
+    q never fires while d is q-reduced, so the chips on q only grow, and q
+    passes at its first chip; a round that burns everything leaves d
+    q-reduced with q empty.  Every divisor a legal firing reaches is
+    effective and equivalent to d.  So each q starts from the chips the
+    previous one left, and a q that holds a chip in d, or received one for
+    an earlier q of this test, passes without a round of its own.  Each round lowers the distance to the q-reduced form
     by one, so deg(d) * n rounds per q suffice.
 
     Rank is an invariant of the equivalence class, so every divisor the
@@ -71,13 +71,8 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
             if burnt == n:
                 verdict = False
                 break
-            for v, left in enumerate(room):
-                if left >= 0:
-                    chips[v] = left
-                    for w, m in adj[v]:
-                        if room[w] < 0:
-                            chips[w] += m
-                            covered[w] = True
+            for w in _fire_unburnt(adj, chips, room):
+                covered[w] = True
             state = tuple(chips)
             if len(states) * n <= _RANK_MEMO_CHIPS:
                 states.append(state)

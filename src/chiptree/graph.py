@@ -74,6 +74,20 @@ class FrozenRecord(Record):
         return hash(self._values())
 
 
+class Report(Record):
+    """A validator's verdict: ``ok``, the ``violations`` found (a list),
+    and the width of a checked decomposition (None for other checks)."""
+
+    __slots__ = ("ok", "violations", "width")
+
+    def __init__(self, ok: bool, violations: list, width: Optional[int] = None):
+        self.ok, self.violations, self.width = ok, violations, width
+
+    def first(self):
+        """The first violation, or None."""
+        return self.violations[0] if self.violations else None
+
+
 class MultiGraph:
     """Finite loopless multigraph, immutable after construction.
 
@@ -151,6 +165,7 @@ class MultiGraph:
 
     def adjacency(self, v: int) -> dict[int, int]:
         """Neighbors of v with multiplicities."""
+        _vertex_set(self.n, (v,), "vertex", GraphError)
         return dict(self._adj[v])
 
     @property
@@ -163,9 +178,11 @@ class MultiGraph:
         return self._neighbour_masks
 
     def degree(self, v: int) -> int:
+        _vertex_set(self.n, (v,), "vertex", GraphError)
         return sum(m for _, m in self._adj[v])
 
     def multiplicity(self, u: int, v: int) -> int:
+        _vertex_set(self.n, (u, v), "vertex", GraphError)
         return self._mult.get((u, v) if u < v else (v, u), 0)
 
     def vertex_index(self, name) -> int:
@@ -184,10 +201,15 @@ class MultiGraph:
         return i
 
     def vertex_name(self, v: int) -> str:
+        _vertex_set(self.n, (v,), "vertex", GraphError)
+        return self._name(v)
+
+    def _name(self, v: int) -> str:
+        """``vertex_name`` unchecked, for a caller that holds a vertex."""
         return self.labels[v] if self.labels else str(v)
 
     def set_name(self, s: Iterable[int]) -> str:
-        return "".join(map(self.vertex_name, sorted(s))) or "{}"
+        return "".join(map(self._name, sorted(s))) or "{}"
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, m={self.num_edges})"

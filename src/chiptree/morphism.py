@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import DomainError, InternalError
-from .graph import FrozenRecord, MultiGraph, Record, _int_tuple, _mask, _require_connected
+from .graph import FrozenRecord, MultiGraph, Report, _int_tuple, _mask, _require_connected
 from .treedec import RefinementMap, TreeDecomposition, _contract
 
 
@@ -35,13 +35,6 @@ class FiniteMorphism(FrozenRecord):
                   _int_tuple(edge_map, "edge_map", 0), _int_tuple(index, "index", 1))
 
 
-class MorphismReport(Record):
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: Optional[list[str]] = None):
-        self.ok, self.violations = ok, [] if violations is None else violations
-
-
 class HarmonicCertificate(FrozenRecord):
     __slots__ = ("m", "degree")   # per-vertex fiber sums, and the degree
 
@@ -51,7 +44,7 @@ def is_tree(t: MultiGraph) -> bool:
 
 
 def check_morphism(g: MultiGraph, t: MultiGraph,
-                   f: FiniteMorphism) -> MorphismReport:
+                   f: FiniteMorphism) -> Report:
     """Verify that f maps G into the tree T and preserves incidence; f's
     constructor has checked that its entries are ints and its indices
     positive."""
@@ -64,7 +57,7 @@ def check_morphism(g: MultiGraph, t: MultiGraph,
     if len(f.edge_map) != len(g_edges) or len(f.index) != len(g_edges):
         violations.append("edge_map/index length does not match |E(G)|")
     if violations:
-        return MorphismReport(False, violations)
+        return Report(False, violations)
     for v, img in enumerate(f.vertex_map):
         if img >= t.n:
             violations.append(f"vertex {v} maps outside the tree")
@@ -77,12 +70,12 @@ def check_morphism(g: MultiGraph, t: MultiGraph,
             violations.append(
                 f"edge {i}=({u},{v}) maps to non-incident tree edge {ti}"
             )
-    return MorphismReport(not violations, violations)
+    return Report(not violations, violations)
 
 
 def harmonic_certificate(
         g: MultiGraph, t: MultiGraph,
-        f: FiniteMorphism) -> tuple[Optional[HarmonicCertificate], MorphismReport]:
+        f: FiniteMorphism) -> tuple[Optional[HarmonicCertificate], Report]:
     """Compute per-vertex fiber sums and the degree, or locate a violation.
 
     Two passes over E(G) and one over V(G): the time is linear in
@@ -93,7 +86,7 @@ def harmonic_certificate(
         return None, base
     g_edges = g._edges
     if not g_edges:
-        return None, MorphismReport(False, ["graph has no edges"])
+        return None, Report(False, ["graph has no edges"])
 
     # index sums at v, per incident tree edge of f(v)
     sums: list[dict[int, int]] = [dict() for _ in range(g.n)]
@@ -109,7 +102,7 @@ def harmonic_certificate(
         if len(sums[v]) < len(t._adj[w]):
             values.add(0)
         if len(values) > 1:
-            return None, MorphismReport(
+            return None, Report(
                 False,
                 [f"vertex {v}: unequal index sums {sorted(values)} across tree edges"],
             )
@@ -120,7 +113,7 @@ def harmonic_certificate(
     # tree is connected, so every such sum is one degree, positive because
     # some edge has a positive index.  It is read at tree edge 0.
     degree = sum(idx for ti, idx in zip(f.edge_map, f.index) if ti == 0)
-    return HarmonicCertificate(tuple(m), degree), MorphismReport(True, [])
+    return HarmonicCertificate(tuple(m), degree), Report(True, [])
 
 
 def morphism_to_treedec(g: MultiGraph, t: MultiGraph, f: FiniteMorphism,

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from .divisors import Divisor, _burn, _fire_unburnt
 from .errors import DomainError, InternalError
 from .gonality import has_positive_rank
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _components,
+from .graph import (FrozenRecord, MultiGraph, Record, Report, VertexSet, _around, _components,
                     _digits, _iterable, _mask, _require_int, _vertex_set, _vertices)
 
 SPLIT = "split"    # case (c), construction step I
@@ -149,16 +149,6 @@ class MssTree(FrozenRecord):
 
 class MssViolation(Record):
     __slots__ = ("node", "reason")
-
-
-class MssReport(Record):
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: list[MssViolation]):
-        self.ok, self.violations = ok, violations
-
-    def first(self) -> Optional[MssViolation]:
-        return self.violations[0] if self.violations else None
 
 
 def good_firing_set(g: MultiGraph, d: Divisor, x: VertexSet,
@@ -323,7 +313,7 @@ def build_mss(g: MultiGraph, d: Divisor, trace=None) -> MssTree:
     return MssTree._built(g, d.degree + 1, xs, rs, parents)
 
 
-def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
+def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> Report:
     """Check the defining clauses of a monotone search strategy.
 
     The constructor has checked the shape: nodes are numbered parent
@@ -372,4 +362,4 @@ def validate_mss(g: MultiGraph, tree: MssTree, k: int) -> MssReport:
             if set(child_rs) != set(flaps) or len(child_rs) != len(flaps):
                 bad(i, "split children are not exactly the X-flaps of R")
 
-    return MssReport(not violations, violations)
+    return Report(not violations, violations)

@@ -8,7 +8,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import BudgetError, DomainError
-from .graph import (FrozenRecord, MultiGraph, Record, VertexSet, _around, _iterable,
+from .graph import (FrozenRecord, MultiGraph, Report, VertexSet, _around, _iterable,
                     _mask, _members, _require_connected, _require_int, _vertices)
 
 if TYPE_CHECKING:
@@ -73,15 +73,7 @@ class TreeDecomposition(FrozenRecord):
         return "\n".join(lines) + "\n"
 
 
-class TdReport(Record):
-    __slots__ = ("ok", "width", "violations")
-
-    def __init__(self, ok: bool, width: int, violations: Optional[list[str]] = None):
-        self.ok, self.width = ok, width
-        self.violations = [] if violations is None else violations
-
-
-def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
+def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> Report:
     """Check the three decomposition conditions plus tree shape.
 
     A valid decomposition is confirmed on the bag masks in O(b + n + |E|)
@@ -91,7 +83,7 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
     masks, edges = td.masks, td.tree_edges
     b = len(masks)
     if b == 0:
-        return TdReport(False, -1, ["decomposition has no bags"])
+        return Report(False, ["decomposition has no bags"], -1)
     adj = [[] for _ in masks]
     for i, j in edges:
         adj[i].append(j)
@@ -109,8 +101,8 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> TdReport:
                     order.append(j)
         shape = None if len(order) == b else "bag tree is disconnected"
     if shape is None and _holds(g, masks, order, parent):
-        return TdReport(True, td.width)
-    return TdReport(False, td.width, _violations(g, masks, adj, shape))
+        return Report(True, [], td.width)
+    return Report(False, _violations(g, masks, adj, shape), td.width)
 
 
 def _holds(g: MultiGraph, masks: list[int], order: list[int], parent: list[int]) -> bool:

@@ -25,6 +25,8 @@ from chiptree import (
     q_reduce,
     script_between,
 )
+from chiptree import divisors
+from chiptree.fixtures import path_graph
 
 from conftest import (
     laplacian,
@@ -232,6 +234,22 @@ class TestQReduce:
         reduced, _ = q_reduce(g, fixture_divisor, g.vertex_index("d"))
         assert reduced[g.vertex_index("d")] >= 1
         assert reduced == named(g, {"d": 2, "g": 1})
+
+    def test_rounds_fire_in_batches(self, monkeypatch):
+        """Operation-count guard: each round fires its set as often as stays
+        legal.  200 chips cross the 50-vertex path in 50 Dhar burns; firing
+        once per round would take 9,801."""
+        burns = []
+        burn = divisors._burn
+
+        def counting(adj, chips, q):
+            burns.append(q)
+            return burn(adj, chips, q)
+
+        monkeypatch.setattr(divisors, "_burn", counting)
+        reduced, _ = q_reduce(path_graph(50), Divisor.single(50, 0, 200), 49)
+        assert reduced == Divisor.single(50, 49, 200)
+        assert len(burns) <= 100
 
     def test_chip_count_at_q_never_drops(self):
         rng = random.Random(99)

@@ -73,6 +73,31 @@ def test_rank_test_skips_every_vertex_that_received_a_chip(monkeypatch):
     assert len(burnt_from) <= 2 * k
 
 
+def test_rank_test_fires_through_the_shared_kernel(monkeypatch):
+    """Operation-count guard on the 20 x 20 grid with one chip per row: the
+    rank test fires through ``_fire_unburnt``, once after each burn that
+    left a vertex unburnt (19 here), and through no loop of its own."""
+    g, d = grid_with_a_chip_per_row(20)
+    partial, fired = [], []
+    burn, fire = gonality._burn, gonality._fire_unburnt
+
+    def burning(adj, chips, q):
+        room, burnt = burn(adj, chips, q)
+        if burnt < len(chips):
+            partial.append(room)
+        return room, burnt
+
+    def firing(adj, chips, room):
+        fired.append(room)
+        return fire(adj, chips, room)
+
+    monkeypatch.setattr(gonality, "_burn", burning)
+    monkeypatch.setattr(gonality, "_fire_unburnt", firing)
+    assert has_positive_rank(g, d)
+    assert len(fired) == len(partial) == 19
+    assert all(a is b for a, b in zip(fired, partial))
+
+
 def test_rank_test_continues_from_the_last_reduction(monkeypatch):
     """Operation-count guard on the 20 x 20 grid with one chip per row: the
     rounds toward each q start from the chips the previous q left, so the

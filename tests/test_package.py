@@ -23,7 +23,8 @@ from chiptree import (ChipTreeError, Divisor, FiniteMorphism, FiringScript, Mult
 from chiptree.fixtures import c4_to_p3_morphism, example_divisor, example_graph, path_graph
 from chiptree.formats import (parse_gr, parse_morphism, parse_refinement_map,
                               write_document, write_gr, write_morphism, write_td)
-from chiptree.strategy import MssTree, good_firing_set
+from chiptree.graph import Report
+from chiptree.strategy import MssTree, good_firing_set, validate_mss
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -168,6 +169,25 @@ class TestRecords:
         # a decomposition is frozen, so it hashes by its tuples
         assert hash(copy.deepcopy(td)) == hash(td)
 
+    def test_every_validator_returns_one_report(self):
+        g, d = example_graph(), example_divisor()
+        tree = build_mss(g, d)
+        c4, p3, fold = c4_to_p3_morphism()
+        reports = [validate_mss(g, tree, 4), validate_treedec(g, mss_to_treedec(g, tree)),
+                   check_morphism(c4, p3, fold), harmonic_certificate(c4, p3, fold)[1],
+                   validate_mss(g, tree, 1), validate_treedec(g, TreeDecomposition([], [])),
+                   check_morphism(c4, c4, fold)]
+        assert {type(report) for report in reports} == {Report}
+        assert [(r.ok, r.width) for r in reports] == [
+            (True, None), (True, 3), (True, None), (True, None),
+            (False, None), (False, -1), (False, None)]
+        for report in reports:
+            assert type(report.violations) is list
+            assert report.first() == (report.violations[0] if report.violations else None)
+            with pytest.raises(TypeError):
+                hash(report)
+            assert copy.deepcopy(report) == report
+
 
 # -- malformed values ----------------------------------------------------------
 
@@ -241,6 +261,13 @@ PROBES = {
     "labels 'ab'": lambda: MultiGraph(2, [(0, 1)], labels="ab"),
     "tree edge id 2": lambda: parse_morphism("v 0 0\nv 1 1\ne 0 2 1\n", P2, P2),
     "refinement id -1": lambda: parse_refinement_map("orig 0 -1\n"),
+    "graph degree -1": lambda: path_graph(3).degree(-1),
+    "vertex_name -1": lambda: path_graph(3).vertex_name(-1),
+    "graph degree True": lambda: path_graph(3).degree(True),
+    "multiplicity (0, 7)": lambda: path_graph(3).multiplicity(0, 7),
+    "adjacency 1.0": lambda: path_graph(3).adjacency(1.0),
+    "write_morphism image 7": lambda: write_morphism(
+        FiniteMorphism((0, 1, 7, 1), FOLD.edge_map, FOLD.index), C4, P3),
 }
 
 JUNK = st.one_of(st.integers(-2, 4), st.floats(), st.booleans(), st.text(max_size=2),
@@ -288,7 +315,9 @@ def test_record_constructors_and_readers_raise_only_typed_errors(count, chips, q
                  lambda: g.flaps(vertices), lambda: g.outdeg(vertices, q),
                  lambda: is_fireable(g, d, vertices), lambda: fire_set(g, d, vertices),
                  lambda: good_firing_set(g, d, vertices, {1, 2}),
-                 lambda: good_firing_set(g, d, {0}, vertices)):
+                 lambda: good_firing_set(g, d, {0}, vertices), lambda: g.degree(q),
+                 lambda: g.adjacency(q), lambda: g.multiplicity(q, 0),
+                 lambda: g.vertex_name(q)):
         try:
             call()
         except ChipTreeError:
