@@ -70,7 +70,7 @@ def _build_mss(args) -> tuple[MultiGraph, MssTree]:
         line = f"trace step {step} at ({pos.label(g)})"
         if step == "III":
             d2, u = detail
-            line += f" fire {g.set_name(u)} from {d2.format(g)}"
+            line += f" fire {g._set_name(u)} from {d2.format(g)}"
         print(line, file=sys.stderr)
     return g, tree
 
@@ -103,7 +103,7 @@ def cmd_dhar(args) -> int:
     g, d = _load_divisor(args)
     q = g.vertex_index(args.q)
     u = dhar(g, d, q)
-    _emit(f"fireable-set: {g.set_name(u)}\n", args.out)
+    _emit(f"fireable-set: {g._set_name(u)}\n", args.out)
     return EXIT_OK
 
 

@@ -33,18 +33,19 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
     q-reduced with q empty.  Every divisor a legal firing reaches is
     effective and equivalent to d.  So each q starts from the chips the
     previous one left, and a q that holds a chip in d, or received one for
-    an earlier q of this test, passes without a round of its own.  Each round lowers the distance to the q-reduced form
-    by one, so deg(d) * n rounds per q suffice.
+    an earlier q of this test, passes without a round of its own.  Each
+    round lowers the distance to the q-reduced form by one, so deg(d) * n
+    rounds per q suffice.
 
     Rank is an invariant of the equivalence class, so every divisor the
     test fires into has d's answer.  The immutable graph keeps a memo of
     these answers (``MultiGraph._ranks``): a test stores its verdict for
     d and for each state it fired into, and stops at the first state the
-    memo knows.  A test rejected at its first burn stores nothing: it fired
-    into no state, and few later tests fire into d.  A test whose states
-    would take the memo past ``_RANK_MEMO_CHIPS`` chip counts clears it and
-    keeps only d, so the usual "test, then ``build_mss``" sequence still
-    tests once.
+    memo knows.  A test rejected at its first burn stores nothing and
+    builds nothing beyond its chip list: it fired into no state, and few
+    later tests fire into d.  A test whose states would take the memo past
+    ``_RANK_MEMO_CHIPS`` chip counts clears it and keeps only d, so the
+    usual "test, then ``build_mss``" sequence still tests once.
     """
     held = d.chips
     memo = g._ranks
@@ -58,21 +59,32 @@ def has_positive_rank(g: MultiGraph, d: Divisor) -> bool:
         _require_connected(g)
     adj, n = g._adj, g.n
     chips = list(held)
+    # the first q is the first vertex with no chip; most rejections end at
+    # its first burn, before any bookkeeping, and otherwise its rounds
+    # start from that burn's room
+    first, room = n, None
+    if 0 in held:
+        first = held.index(0)
+        room, burnt = _burn(adj, chips, first)
+        if burnt == n:
+            return False
     covered = list(held)  # truthy where a vertex holds or has held a chip
     bound = sum(held) * n or 1
     # the states fired into, while they fit in the memo
     states: list[tuple[int, ...]] = []
     verdict = None  # until a burn rejects d or the memo knows a state
-    for q in range(n):
+    for q in range(first, n):
         if covered[q]:
             continue
         for _ in range(bound + 1):
-            room, burnt = _burn(adj, chips, q)
-            if burnt == n:
-                verdict = False
-                break
+            if room is None:
+                room, burnt = _burn(adj, chips, q)
+                if burnt == n:
+                    verdict = False
+                    break
             for w in _fire_unburnt(adj, chips, room):
                 covered[w] = True
+            room = None
             state = tuple(chips)
             if len(states) * n <= _RANK_MEMO_CHIPS:
                 states.append(state)

@@ -209,6 +209,10 @@ class MultiGraph:
         return self.labels[v] if self.labels else str(v)
 
     def set_name(self, s: Iterable[int]) -> str:
+        return self._set_name(_vertex_set(self.n, s, "vertex", GraphError))
+
+    def _set_name(self, s: Iterable[int]) -> str:
+        """``set_name`` unchecked, for a caller that holds a vertex set."""
         return "".join(map(self._name, sorted(s))) or "{}"
 
     def __repr__(self):

@@ -124,7 +124,7 @@ class MssTree(FrozenRecord):
 
     def _labels(self, g: MultiGraph) -> Iterator[str]:
         """Each node's "X | R" label; the mask bound is checked on the call."""
-        return (f"{g.set_name(x)} | {g.set_name(r)}" for x, r in self._sets(g.n))
+        return (f"{g._set_name(x)} | {g._set_name(r)}" for x, r in self._sets(g.n))
 
     def to_text(self, g: MultiGraph) -> str:
         """The searcher count, then per node its parent, move and label."""

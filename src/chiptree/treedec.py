@@ -65,7 +65,7 @@ class TreeDecomposition(FrozenRecord):
         lines = ["graph treedec {", "  node [shape=box];"]
         for i, bag in enumerate(self.masks):
             members = _members(bag)
-            label = g.set_name(members) if g else ",".join(map(str, members))
+            label = g._set_name(members) if g else ",".join(map(str, members))
             lines.append(f'  b{i} [label="{label}"];')
         for i, j in self.tree_edges:
             lines.append(f"  b{i} -- b{j};")
@@ -78,31 +78,61 @@ def validate_treedec(g: MultiGraph, td: TreeDecomposition) -> Report:
 
     A valid decomposition is confirmed on the bag masks in O(b + n + |E|)
     big-int operations (``_holds``); any other gets a naming pass
-    (``_violations``) that reports every violation.
+    (``_violations``) that reports every violation.  Tree edges that each
+    run between a bag and one with a smaller id, one for every bag but
+    bag 0, are a tree with those as the parents; any other edge list is
+    oriented by a search from bag 0.
     """
     masks, edges = td.masks, td.tree_edges
     b = len(masks)
     if b == 0:
         return Report(False, ["decomposition has no bags"], -1)
-    adj = [[] for _ in masks]
+    order, parent, shape = range(b), _parents_by_id(edges, b), None
+    if parent is None:
+        order, parent, shape = _search_from_bag_0(edges, b)
+    if shape is None and _holds(g, masks, order, parent):
+        return Report(True, [], td.width)
+    return Report(False, _violations(g, masks, _adjacency(edges, b), shape), td.width)
+
+
+def _parents_by_id(edges: tuple[tuple[int, int], ...], b: int) -> Optional[list[int]]:
+    """Each bag's parent (-1 for bag 0) when the b - 1 edges hang every bag
+    but bag 0 from one with a smaller id, which makes them a tree walked
+    top-down by ``range(b)``; None for any other edge list."""
+    if len(edges) != b - 1:
+        return None
+    parent = [-1] * b
+    for i, j in edges:
+        if i > j:
+            i, j = j, i
+        if i == j or parent[j] >= 0:
+            return None
+        parent[j] = i
+    return parent
+
+
+def _search_from_bag_0(edges: tuple[tuple[int, int], ...], b: int):
+    """The bags a breadth-first search from bag 0 reaches, each after its
+    parent, each bag's parent (-1 for bag 0 and the bags not reached), and
+    what keeps the edges from being a tree (None if nothing)."""
+    if len(edges) != b - 1:
+        return None, None, f"{len(edges)} tree edges on {b} bags is not a tree"
+    adj = _adjacency(edges, b)
+    order, parent = [0], [-1] * b
+    for i in order:
+        for j in adj[i]:
+            if j and parent[j] < 0:
+                parent[j] = i
+                order.append(j)
+    return order, parent, None if len(order) == b else "bag tree is disconnected"
+
+
+def _adjacency(edges: tuple[tuple[int, int], ...], b: int) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(b)]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    if len(edges) != b - 1:
-        shape = f"{len(edges)} tree edges on {b} bags is not a tree"
-    else:
-        # the bags bag 0 reaches, each after its parent, and each bag's
-        # parent (-1 for bag 0 and the bags not reached)
-        order, parent = [0], [-1] * b
-        for i in order:
-            for j in adj[i]:
-                if j and parent[j] < 0:
-                    parent[j] = i
-                    order.append(j)
-        shape = None if len(order) == b else "bag tree is disconnected"
-    if shape is None and _holds(g, masks, order, parent):
-        return Report(True, [], td.width)
-    return Report(False, _violations(g, masks, adj, shape), td.width)
+    return adj
 
 
 def _holds(g: MultiGraph, masks: list[int], order: list[int], parent: list[int]) -> bool:
@@ -186,9 +216,11 @@ def _violations(g: MultiGraph, masks: list[int], adj: list[list[int]],
 def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
     """Forget orientation and territories: the searcher sets become bags.
 
-    Bag ids follow a deterministic preorder of the strategy tree.  A frozen
-    tree that ``build_mss`` returned for this same graph object is valid by
-    construction; every other tree is checked with ``validate_mss`` first.
+    Bag ids follow the preorder of the strategy tree that visits children
+    in ascending order, and each edge runs from parent to child, sorted by
+    their ids.  A frozen tree that ``build_mss`` returned for this same
+    graph object is valid by construction; every other tree is checked
+    with ``validate_mss`` first.
     """
     if tree._built_for is not g:
         # imported here: ``verify-td`` and ``morphism-td`` load no strategy code
@@ -196,15 +228,24 @@ def mss_to_treedec(g: MultiGraph, tree: MssTree) -> TreeDecomposition:
         report = validate_mss(g, tree, tree.searchers)
         if not report.ok:
             raise DomainError(f"invalid search strategy: {report.first().reason}")
-    kids_of, xs = tree.children, tree.xs
-    order, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        stack += kids_of[i][::-1]
-    new_id = {old: new for new, old in enumerate(order)}
-    masks = [xs[i] for i in order]
-    edges = [(new_id[i], new_id[c]) for i in order for c in kids_of[i]]
+    # bag ids in preorder, read from the parent column, which numbers each
+    # node after its parent and siblings in ascending order: a child's id
+    # is its parent's next free one, past its smaller siblings' subtrees
+    parents, xs = tree.parents, tree.xs
+    b = len(parents)
+    size = [1] * b
+    for c in range(b - 1, 0, -1):
+        size[parents[c]] += size[c]
+    ids, free = [0] * b, [1] * b
+    masks, edges = [xs[0]] * b, []
+    for c in range(1, b):
+        p = parents[c]
+        ids[c] = i = free[p]
+        free[p] = i + size[c]
+        free[c] = i + 1
+        masks[i] = xs[c]
+        edges.append((ids[p], i))
+    edges.sort()  # each bag's edges to its children, bag by bag in id order
     return TreeDecomposition._of_masks(masks, edges)
 
 

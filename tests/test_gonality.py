@@ -20,7 +20,7 @@ from chiptree import (
     has_positive_rank,
     treewidth_bruteforce,
 )
-from chiptree import gonality
+from chiptree import gonality, strategy
 from chiptree.fixtures import banana_graph, cycle_graph, example_graph, path_graph
 from chiptree.gonality import _lex_ascending
 
@@ -177,6 +177,32 @@ def test_rank_memo_halves_the_corpus_burns(monkeypatch):
                     build_mss(g, d)
     assert (tests, accepted) == (5_989, 916)
     assert calls[0] <= 6_803
+
+
+def test_corpus_burns_are_pinned(monkeypatch):
+    """Operation-count gate on the 200 graphs of the seeded acceptance
+    corpus: every effective divisor of degree 1..4 is rank-tested in the
+    benchmark's order, and an accepted one goes on to ``build_mss``.  The
+    Dhar burns of the rank test and of the construction are pinned
+    exactly, so a change that burns more or less says so here."""
+    calls = {gonality: 0, strategy: 0}
+    for module in calls:
+        def counting(*args, module=module, burn=module._burn):
+            calls[module] += 1
+            return burn(*args)
+        monkeypatch.setattr(module, "_burn", counting)
+    rng = random.Random(20240824)
+    tests = accepted = 0
+    for _ in range(200):
+        g = random_connected_multigraph(rng, rng.randint(2, 8), max_mult=3)
+        for degree in range(1, 5):
+            for d in effective_divisors(g.n, degree):
+                tests += 1
+                if has_positive_rank(g, d):
+                    accepted += 1
+                    build_mss(g, d)
+    assert (tests, accepted) == (38_097, 3_675)
+    assert (calls[gonality], calls[strategy]) == (38_272, 17_629)
 
 
 def test_rank_memo_stores_nothing_for_a_rejection_at_the_first_burn():

@@ -268,6 +268,8 @@ PROBES = {
     "adjacency 1.0": lambda: path_graph(3).adjacency(1.0),
     "write_morphism image 7": lambda: write_morphism(
         FiniteMorphism((0, 1, 7, 1), FOLD.edge_map, FOLD.index), C4, P3),
+    "set_name {9}": lambda: EXAMPLE.set_name({9}),
+    "set_name {-1, 9}": lambda: path_graph(3).set_name({-1, 9}),
 }
 
 JUNK = st.one_of(st.integers(-2, 4), st.floats(), st.booleans(), st.text(max_size=2),

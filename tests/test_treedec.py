@@ -19,6 +19,7 @@ from chiptree import (
     build_mss,
     contract_refinement,
     has_positive_rank,
+    morphism_to_treedec,
     mss_to_treedec,
     treedec_by_elimination,
     treewidth_bruteforce,
@@ -31,8 +32,10 @@ from chiptree.strategy import MssTree
 
 from conftest import (
     edit_node,
+    grid_with_a_chip_per_row,
     multigraphs,
     random_connected_multigraph,
+    random_harmonic_covering,
     random_refinement,
     treedec_violations_by_scan,
     treewidth_by_all_orders,
@@ -141,7 +144,8 @@ def _corruptions(rng, g, td):
     a tree edge removed, a vertex added to a bag away from its subtree, an
     unknown vertex added, a tree edge made a self-loop, and two tree edges
     to one bag from smaller bags; and td itself with its tree edges
-    reversed and shuffled, which is valid."""
+    reversed and shuffled, and with its bags renumbered so that some bag
+    hangs from none with a smaller id, both valid."""
     bags, edges = list(td.bags), list(td.tree_edges)
     b = len(bags)
 
@@ -171,13 +175,38 @@ def _corruptions(rng, g, td):
         twice = edges[:b - 3] + [(a, c) for a in rng.sample(range(c), 2)]
         rng.shuffle(twice)
         yield "two-parents", TreeDecomposition(bags, twice)
+    if b >= 3 and len(edges) == b - 1:
+        while True:
+            new = rng.sample(range(b), b)
+            renumbered = [(new[i], new[j]) for i, j in edges]
+            if treedec._parents_by_id(renumbered, b) is None:
+                break
+        moved = [None] * b
+        for i, bag in enumerate(bags):
+            moved[new[i]] = bag
+        yield "renumbered", TreeDecomposition(moved, renumbered)
+
+
+def _check_corruptions(rng, g, td, made, rejected):
+    """Validate td's corruptions against the bag scans and count them by
+    kind; a renumbered td takes the search from bag 0."""
+    for kind, bad in _corruptions(rng, g, td):
+        violations = validate_treedec(g, bad).violations
+        assert violations == treedec_violations_by_scan(g, bad), kind
+        if kind == "renumbered":
+            assert treedec._parents_by_id(bad.tree_edges, len(bad.masks)) is None
+        made[kind] += 1
+        rejected[kind] += bool(violations)
+
+
+KINDS = ("dropped", "cut", "added", "unknown", "reversed", "self-loop", "two-parents",
+         "renumbered")
 
 
 def test_one_pass_validation_matches_bag_scans_on_corruptions():
     rng = random.Random(4242)
-    kinds = ("dropped", "cut", "added", "unknown", "reversed", "self-loop", "two-parents")
-    rejected = dict.fromkeys(kinds, 0)
-    made = dict.fromkeys(kinds, 0)
+    rejected = dict.fromkeys(KINDS, 0)
+    made = dict.fromkeys(KINDS, 0)
     for _ in range(60):
         g = random_connected_multigraph(rng, rng.randint(2, 7))
         d = next((d for d in effective_divisors(g.n, rng.randint(1, 3))
@@ -185,13 +214,29 @@ def test_one_pass_validation_matches_bag_scans_on_corruptions():
         td = (mss_to_treedec(g, build_mss(g, d)) if d is not None
               else treedec_by_elimination(g))
         assert validate_treedec(g, td).violations == []
-        for kind, bad in _corruptions(rng, g, td):
-            violations = validate_treedec(g, bad).violations
-            assert violations == treedec_violations_by_scan(g, bad), kind
-            made[kind] += 1
-            rejected[kind] += bool(violations)
-    assert rejected.pop("reversed") == 0 and made["reversed"]
+        if d is not None:
+            # a strategy's bags hang from smaller ids, reversed or not
+            flipped = [(j, i) for i, j in td.tree_edges]
+            assert treedec._parents_by_id(flipped, len(td.masks)) is not None
+        _check_corruptions(rng, g, td, made, rejected)
+    for kind in ("reversed", "renumbered"):
+        assert rejected.pop(kind) == 0 and made[kind], kind
     assert all(rejected.values()), rejected
+
+
+def test_validation_matches_bag_scans_on_morphism_decompositions():
+    """``morphism_to_treedec`` closes each bag chain with an edge back to a
+    smaller id, so its decompositions take the search from bag 0."""
+    rng = random.Random(515)
+    rejected = dict.fromkeys(KINDS, 0)
+    made = dict.fromkeys(KINDS, 0)
+    for _ in range(2):
+        g, t, f = random_harmonic_covering(rng, rng.randint(3, 5), rng.randint(2, 3))
+        td = morphism_to_treedec(g, t, f)
+        assert treedec._parents_by_id(td.tree_edges, len(td.masks)) is None
+        assert validate_treedec(g, td).violations == treedec_violations_by_scan(g, td) == []
+        _check_corruptions(rng, g, td, made, rejected)
+    assert made["renumbered"] == 2 and rejected["renumbered"] == 0
 
 
 def test_bags_are_masks():
@@ -319,7 +364,41 @@ class TestTrustedStrategy:
             MssTree(tree.searchers, tree.xs, tree.territories, tree.parents, fixture_graph)
 
 
+def _preorder_by_walk(tree: MssTree) -> tuple[list[int], list[tuple[int, int]]]:
+    """The bag masks and tree edges of ``mss_to_treedec``, by a walk with a
+    stack over the children lists: a node's bag follows its parent's, its
+    children are visited in ascending order, and each bag's edges to its
+    children follow one another in the order of the walk."""
+    kids = tree.children
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack += kids[i][::-1]
+    new_id = {old: new for new, old in enumerate(order)}
+    return ([tree.xs[i] for i in order],
+            [(new_id[i], new_id[c]) for i in order for c in kids[i]])
+
+
 class TestMssToTreedec:
+    def test_bags_and_edges_follow_the_preorder_walk(self, fixture_graph, fixture_divisor):
+        """On the fixture, the 10 x 10 grid with a chip per row and 100
+        strategies with a split on corpus-shaped graphs."""
+        cases = [(fixture_graph, fixture_divisor), grid_with_a_chip_per_row(10)]
+        rng = random.Random(20240824)
+        while len(cases) < 102:
+            g = random_connected_multigraph(rng, rng.randint(2, 8), max_mult=3)
+            positive = [d for d in effective_divisors(g.n, rng.randint(1, 4))
+                        if has_positive_rank(g, d)]
+            if positive:
+                d = rng.choice(positive)
+                if any(len(kids) > 1 for kids in build_mss(g, d).children):
+                    cases.append((g, d))
+        for g, d in cases:
+            tree = build_mss(g, d)
+            td = mss_to_treedec(g, tree)
+            assert (list(td.masks), list(td.tree_edges)) == _preorder_by_walk(tree)
+
     def test_single_vertex(self):
         g = MultiGraph(1, [])
         td = mss_to_treedec(g, build_mss(g, Divisor((1,))))
